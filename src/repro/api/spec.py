@@ -76,19 +76,29 @@ SEED_NAMESPACES = STAGE_NAMES + ("generate", "cluster", "multi_weight")
 ESTIMATOR_NAMES = ("batched", "scalar")
 
 
-def _check_backend_name(value: Optional[str]) -> None:
-    """Validate a spec-level kernel-backend name (``None`` = process default).
+#: Wire fields of the removed kernel-backend selection, with the constant
+#: values :class:`AnalysisConfig` and :class:`FaultSimConfig` still write, so
+#: every spec hash and plan store key predating the removal is unchanged.
+_BACKEND_WIRE_FIELDS = {"backend": None, "allow_fallback": False}
 
-    Imported lazily: the backend registry pulls in the engine modules, which
-    this low-level spec module must not load at import time.
-    """
-    if value is None:
-        return
-    from ..backends import BACKEND_NAMES
+#: Backend names older specs may carry.  All backends were bit-identical by
+#: contract, so a spec naming any of them decodes to the one engine.
+_LEGACY_BACKEND_NAMES = (None, "numpy", "numba")
 
-    if value not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {value!r}; expected one of {BACKEND_NAMES}"
+
+def _check_legacy_backend_fields(kind: str, data: Mapping[str, Any]) -> None:
+    """Reject backend wire values no build ever wrote (they are ignored)."""
+    backend = data.get("backend")
+    if backend not in _LEGACY_BACKEND_NAMES:
+        raise SchemaError(
+            f"invalid {kind} payload: unknown backend {backend!r}; "
+            f"expected one of {_LEGACY_BACKEND_NAMES}"
+        )
+    allow_fallback = data.get("allow_fallback", False)
+    if not isinstance(allow_fallback, bool):
+        raise SchemaError(
+            f"invalid {kind} payload: allow_fallback must be a bool, "
+            f"got {allow_fallback!r}"
         )
 
 
@@ -136,10 +146,13 @@ class _ConfigBase:
     """to_dict/from_dict + validation shared by the frozen stage configs."""
 
     _kind: str = ""
+    #: Wire-only fields written with these constant values and validated,
+    #: then ignored, on decode (see :data:`_BACKEND_WIRE_FIELDS`).
+    _wire_constants: Mapping[str, Any] = {}
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable dict with ``kind`` and ``schema_version``."""
-        payload = {}
+        payload = dict(self._wire_constants)
         for spec_field in fields(self):  # type: ignore[arg-type]
             value = getattr(self, spec_field.name)
             if isinstance(value, tuple):
@@ -151,7 +164,11 @@ class _ConfigBase:
     def from_dict(cls, data: Mapping[str, Any]) -> "_ConfigBase":
         """Rebuild a config, rejecting unknown versions and fields."""
         names = [spec_field.name for spec_field in fields(cls)]  # type: ignore[arg-type]
-        payload = untag(data, cls._kind, required=(), optional=names)
+        payload = untag(
+            data, cls._kind, required=(), optional=names + list(cls._wire_constants)
+        )
+        if cls._wire_constants:
+            _check_legacy_backend_fields(cls._kind, data)
         kwargs = {}
         for spec_field in fields(cls):  # type: ignore[arg-type]
             if data.get(spec_field.name) is None and spec_field.name not in data:
@@ -194,11 +211,6 @@ class AnalysisConfig(_ConfigBase):
         estimator: detection-probability estimator by name — ``"batched"``
             (the compiled COP engine, default) or ``"scalar"`` (the
             bit-identical reference implementation).
-        backend: kernel backend for the batched estimator (``"numpy"`` or
-            ``"numba"``; ``None`` = process default).  Backends are
-            bit-identical, so analysis results never depend on this.
-        allow_fallback: fall back to the numpy backend when the requested
-            backend is unavailable instead of failing the job.
         partition_size: PPSFP fault partition size for fault-simulating legs
             of specs that declare no fault-sim stage of their own (e.g. the
             multi-weight coverage run of a ``selftest`` job).  ``None`` (one
@@ -207,12 +219,11 @@ class AnalysisConfig(_ConfigBase):
     """
 
     _kind = "analysis_config"
+    _wire_constants = _BACKEND_WIRE_FIELDS
 
     confidence: float = 0.999
     drop_redundant: bool = True
     estimator: str = "batched"
-    backend: Optional[str] = None
-    allow_fallback: bool = False
     partition_size: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -229,7 +240,6 @@ class AnalysisConfig(_ConfigBase):
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_NAMES}"
             )
-        _check_backend_name(self.backend)
 
 
 @dataclass(frozen=True)
@@ -298,24 +308,18 @@ class FaultSimConfig(_ConfigBase):
         fault_group: faults simulated simultaneously per group (``None`` =
             adaptive).
         target_coverage: optional coverage fraction at which to stop early.
-        backend: kernel backend for the fault simulator (``"numpy"`` or
-            ``"numba"``; ``None`` = process default).  Backends are
-            bit-identical, so detection results never depend on this.
-        allow_fallback: fall back to the numpy backend when the requested
-            backend is unavailable instead of failing the job.
         partition_size: PPSFP fault partition size (``None`` = one partition
             spanning all active faults).  Detection results are invariant
             under this choice; it only shapes working-set size.
     """
 
     _kind = "fault_sim_config"
+    _wire_constants = _BACKEND_WIRE_FIELDS
 
     n_patterns: Optional[int] = None
     batch_size: int = 2048
     fault_group: Optional[int] = None
     target_coverage: Optional[float] = None
-    backend: Optional[str] = None
-    allow_fallback: bool = False
     partition_size: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -326,7 +330,6 @@ class FaultSimConfig(_ConfigBase):
             _check_positive_int("fault_group", self.fault_group)
         if self.target_coverage is not None:
             _check_fraction("target_coverage", self.target_coverage, open_interval=False)
-        _check_backend_name(self.backend)
         if self.partition_size is not None:
             _check_positive_int("partition_size", self.partition_size)
 

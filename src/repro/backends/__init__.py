@@ -1,129 +1,29 @@
-"""Pluggable kernel backends behind the lowered-circuit IR.
+"""The name of the one kernel engine, for drivers that record it.
 
-Every compiled engine consumes one :class:`~repro.lowered.LoweredCircuit`;
-this package decides *how* the kernels over that artifact execute.  The
-``"numpy"`` reference backend interprets the SoA arrays with vectorized
-ufuncs and is always available; the ``"numba"`` backend JIT-compiles the
-level loops and per-fault cone replay when the optional ``numba`` package is
-installed.  All backends are bit-identical by contract — the differential
-suite proves the word-domain detection results and float64 COP probabilities
-equal across backends on the registry and seeded synthetic netlists.
-
-Selection is spec-driven (``FaultSimConfig.backend`` /
-``AnalysisConfig.backend``) with ``None`` meaning the *process default*
-(``"numpy"`` unless :func:`set_default_backend` changed it — the hook the
-bench CLI's ``--backend`` flag uses).  Requesting an unavailable backend
-raises :class:`BackendUnavailableError` unless the caller allows falling
-back to numpy.
+COP analysis and fault simulation both run on the vectorized numpy kernels
+of :mod:`repro.simulation.compiled` and :mod:`repro.analysis.compiled` over
+the shared lowered-circuit IR; there is no engine to select.
+:func:`resolve_backend` remains so drivers that print which engine ran keep
+working.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from types import SimpleNamespace
+from typing import Optional
 
-from ..circuit.netlist import Circuit
-from ..lowered import LoweredCircuit, compile_lowered
-from .base import BackendUnavailableError, KernelBackend, KernelEngine
-from .numba_backend import NumbaBackend, NumbaCop, NumbaSimEngine
-from .numpy_backend import NumpyBackend
+__all__ = ["ENGINE_NAME", "resolve_backend"]
 
-__all__ = [
-    "BACKEND_NAMES",
-    "BackendUnavailableError",
-    "KernelBackend",
-    "KernelEngine",
-    "NumbaBackend",
-    "NumbaCop",
-    "NumbaSimEngine",
-    "NumpyBackend",
-    "available_backends",
-    "compile_engines",
-    "default_backend_name",
-    "get_backend",
-    "resolve_backend",
-    "set_default_backend",
-]
-
-_BACKENDS = {
-    "numpy": NumpyBackend(),
-    "numba": NumbaBackend(),
-}
-
-#: Backend names a spec may select (``FaultSimConfig.backend``).
-BACKEND_NAMES = tuple(_BACKENDS)
-
-_default_backend = "numpy"
+#: Name of the kernel engine every analysis and simulation runs on.
+ENGINE_NAME = "numpy"
 
 
-def get_backend(name: str) -> KernelBackend:
-    """The backend registered under ``name`` (available or not)."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-        ) from None
-
-
-def available_backends() -> tuple:
-    """Names of the backends that can run in this environment."""
-    return tuple(
-        name for name, backend in _BACKENDS.items() if backend.available()
-    )
-
-
-def default_backend_name() -> str:
-    """The process-default backend name used when a spec says ``None``."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-default backend (must exist and be available).
-
-    This is a process-wide convenience for drivers that run many
-    backend-agnostic workloads (``python -m repro bench --backend numba``);
-    job specs that name a backend explicitly are unaffected.
-    """
-    global _default_backend
-    backend = get_backend(name)
-    backend.require_available()
-    _default_backend = backend.name
-
-
-def resolve_backend(
-    name: Optional[str] = None, allow_fallback: bool = False
-) -> KernelBackend:
-    """Resolve a spec-level backend name to a runnable backend.
-
-    Args:
-        name: backend name, or ``None`` for the process default.
-        allow_fallback: when the named backend is unavailable, return the
-            numpy reference backend instead of raising.
+def resolve_backend(name: Optional[str] = None) -> SimpleNamespace:
+    """The kernel engine, as an object whose ``name`` is :data:`ENGINE_NAME`.
 
     Raises:
-        ValueError: unknown backend name.
-        BackendUnavailableError: the backend cannot run here and fallback
-            was not allowed.
+        ValueError: ``name`` is neither ``None`` nor :data:`ENGINE_NAME`.
     """
-    backend = get_backend(name if name is not None else _default_backend)
-    if not backend.available():
-        if allow_fallback:
-            return _BACKENDS["numpy"]
-        raise BackendUnavailableError(
-            f"backend {backend.name!r} is not available in this environment "
-            f"(install the optional dependency, e.g. the '[numba]' extra, or "
-            f"set allow_fallback to run on the numpy reference backend)"
-        )
-    return backend
-
-
-def compile_engines(
-    circuit: Union[Circuit, LoweredCircuit],
-    backend: Optional[str] = None,
-    allow_fallback: bool = False,
-) -> KernelEngine:
-    """Compile ``circuit`` under the selected backend (cached per lowering)."""
-    lowered = (
-        circuit if isinstance(circuit, LoweredCircuit) else compile_lowered(circuit)
-    )
-    return resolve_backend(backend, allow_fallback).compile(lowered)
+    if name not in (None, ENGINE_NAME):
+        raise ValueError(f"unknown backend {name!r}; the only engine is {ENGINE_NAME!r}")
+    return SimpleNamespace(name=ENGINE_NAME)

@@ -20,6 +20,7 @@ from repro.api import (
     scrub_volatile,
 )
 from repro.api.plan import ExecutionPlan, StagePlan
+from repro.api.serialize import SchemaError
 from repro.api.spec import FaultSimConfig, OptimizeConfig, SelfTestConfig
 from repro.store import check_store_key
 
@@ -225,3 +226,48 @@ class TestBuildPlan:
         other = build_plan(PipelineSpec(**{**self.SPEC, "circuit": "s2"}))
         assert base.stage("optimize").store_keys != other.stage("optimize").store_keys
         assert base.report_key != other.report_key
+
+
+class TestLegacyBackendFields:
+    """Specs written while a kernel backend was selectable still decode.
+
+    The ``backend``/``allow_fallback`` wire fields are written as constants
+    and ignored on decode, so a spec that named any old backend runs on the
+    one engine and hashes like the default spec.
+    """
+
+    SPEC = PipelineSpec(
+        circuit={"kind": "file", "text": C17_TEXT},
+        optimize=OptimizeConfig(max_sweeps=1),
+        fault_sim=FaultSimConfig(n_patterns=128),
+    )
+
+    def _with(self, **fields):
+        data = self.SPEC.to_dict()
+        for stage in ("analysis", "fault_sim"):
+            data[stage] = dict(data[stage])
+            data[stage].pop("backend")
+            data[stage].pop("allow_fallback")
+            data[stage].update(fields)
+        return data
+
+    def test_legacy_payloads_decode_and_execute_identically(self):
+        reference = execute_spec(self.SPEC).canonical_dict()
+        for fields in (
+            {},
+            {"backend": "numpy"},
+            {"backend": "numba", "allow_fallback": True},
+        ):
+            spec = PipelineSpec.from_dict(self._with(**fields))
+            assert spec.spec_hash() == self.SPEC.spec_hash()
+            assert execute_spec(spec).canonical_dict() == reference
+
+    @pytest.mark.parametrize(
+        "fields", [{"backend": "cuda"}, {"allow_fallback": "yes"}, {"allow_fallback": None}]
+    )
+    def test_invalid_legacy_values_rejected(self, fields):
+        for stage in ("analysis", "fault_sim"):
+            data = self.SPEC.to_dict()
+            data[stage] = {**data[stage], **fields}
+            with pytest.raises(SchemaError):
+                PipelineSpec.from_dict(data)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from .helpers import C17_BENCH
-from repro.analysis.compiled import BatchedCopEstimator
+from repro.analysis import CopDetectionEstimator
 from repro.api import (
     AnalysisConfig,
     MultiWeightConfig,
@@ -101,28 +101,16 @@ class TestClustering:
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_partition_is_backend_invariant(self, seed):
+    def test_partition_is_estimator_invariant(self, seed):
         circuit = parse_bench(C17_BENCH, name="c17")
         faults = collapsed_fault_list(circuit)
         weights = np.full(circuit.n_inputs, 0.5)
-        reference = cluster_faults(
-            circuit,
-            faults,
-            weights,
-            3,
-            seed,
-            estimator=BatchedCopEstimator(backend="numpy"),
+        reference = cluster_faults(circuit, faults, weights, 3, seed)
+        scalar = cluster_faults(
+            circuit, faults, weights, 3, seed, estimator=CopDetectionEstimator()
         )
-        other = cluster_faults(
-            circuit,
-            faults,
-            weights,
-            3,
-            seed,
-            estimator=BatchedCopEstimator(backend="numba", allow_fallback=True),
-        )
-        assert len(reference) == len(other)
-        for a, b in zip(reference, other):
+        assert len(reference) == len(scalar)
+        for a, b in zip(reference, scalar):
             np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_arguments(self, c17, c17_faults):
