@@ -1,8 +1,9 @@
 """Table 5 — CPU time of the weight optimization, scalar vs batched COP.
 
-Times the optimization of every starred circuit (forcing a fresh run inside
-the measured region).  Absolute numbers are hardware-dependent — the paper's
-300-2000 s were measured on a ~2.5 MIPS SIEMENS 7561 — so the checks are that
+Times the optimization of every starred circuit (a fresh batch sweep inside
+the measured region, folded by :func:`repro.experiments.table5_rows`).
+Absolute numbers are hardware-dependent — the paper's 300-2000 s were
+measured on a ~2.5 MIPS SIEMENS 7561 — so the checks are that
 the optimization completes within an interactive budget and that the batched
 COP engine (:mod:`repro.analysis.compiled`) beats the scalar reference
 estimator end to end *while producing a bit-identical test-length history*
@@ -24,11 +25,13 @@ if __name__ == "__main__":  # script mode: make src/ importable before repro imp
 
     conftest.ensure_repro_importable()
 
+from repro.api import run_jobs
 from repro.experiments import (
     format_table5,
     format_table5_speedup,
-    run_table5,
     run_table5_speedup,
+    suite_specs,
+    table5_rows,
 )
 
 #: Largest circuit of the registry (by gate count); the acceptance workload.
@@ -48,7 +51,10 @@ if pytest is not None:
 
     @pytest.mark.benchmark(group="table5")
     def test_table5_optimization_cpu_time(benchmark, pedantic_kwargs):
-        rows = benchmark.pedantic(lambda: run_table5(force=True), **pedantic_kwargs)
+        specs = suite_specs(include_fault_sim=False)
+        rows = benchmark.pedantic(
+            lambda: table5_rows(run_jobs(specs, parallelism=1)), **pedantic_kwargs
+        )
         print()
         print(format_table5(rows))
 

@@ -1,10 +1,9 @@
 """Shared configuration of the benchmark suite.
 
-Each benchmark module regenerates one table or figure of the paper.  The
-expensive intermediates (instantiated circuits, optimization results) are
-cached process-wide by :mod:`repro.experiments.suite`, so running the whole
-directory performs each optimization exactly once, like a single PROTEST run
-feeding all of the paper's tables.
+Each benchmark module measures one area of the reproduction.  The paper's
+Tables 1-4, Figure 2 and the appendix share one module-scoped suite sweep in
+``bench_paper_tables.py``, like a single PROTEST run feeding all of the
+paper's tables; Table 5 times its own sweeps.
 
 This module is also the one shared path shim for *script mode*: every
 ``bench_*.py`` delegates its ``__main__`` block to :func:`bench_script_main`,

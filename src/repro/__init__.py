@@ -26,7 +26,8 @@ The package is organised by subsystem:
 * :mod:`repro.pipeline` — the :class:`Session` convenience layer: builds
   specs from loose kwargs, delegates to the executor, caches one lowering
   per circuit.
-* :mod:`repro.experiments` — runners that regenerate every table and figure.
+* :mod:`repro.experiments` — the paper-table sweep: one spec per circuit,
+  folded into every table and figure.
 
 Typical use::
 

@@ -1,12 +1,10 @@
-"""Bench areas for the paper-table experiments (tables 1–4, figure 2, appendix).
+"""Bench area ``tables`` — the paper's tables, Figure 2 and the appendix.
 
-These areas wrap the :mod:`repro.experiments` runners so every benchmark in
-``benchmarks/`` is reachable through ``python -m repro bench <area>``.  They
-are *informational* (``gated=False``): no committed trajectory, no CI gate —
-the correctness shape checks live in the pytest benches and the tier-1 suite.
-The runners share the process-wide experiment cache
-(:mod:`repro.experiments.suite`), so timings reflect one PROTEST-style run
-feeding all tables, exactly like ``pytest benchmarks/`` measures them.
+Runs the declarative suite sweep (:func:`repro.experiments.suite_specs`)
+once through :func:`repro.api.run_jobs` and folds the reports into every
+table, so the timing reflects one PROTEST-style run feeding all of them.
+The area is *informational* (``gated=False``): no committed trajectory, no
+CI gate — the shape checks live in ``benchmarks/bench_paper_tables.py``.
 
 The paper's pattern budgets are fixed by the experiment definitions, so the
 ``--quick`` flag only tags the result's mode; the workload is identical.
@@ -14,105 +12,64 @@ The paper's pattern budgets are fixed by the experiment definitions, so the
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
+from ...api import run_jobs
 from ...experiments import (
-    run_appendix,
-    run_figure2,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
+    appendix_listings,
+    figure2_data,
+    suite_specs,
+    table1_rows,
+    table2_rows,
+    table3_rows,
+    table4_rows,
 )
 from ..artifacts import BenchResult
 from ..registry import BenchArea, register_area
 from ..runner import BenchRunner
 
 
-def _experiment_area(name: str, title: str, collect: Callable) -> BenchArea:
-    def run_bench(quick: bool = False) -> BenchResult:
-        runner = BenchRunner(name, quick=quick)
-        with runner.timed("run"):
-            value = collect(runner)
-        del value
-        return runner.result()
+def run_bench(quick: bool = False) -> BenchResult:
+    runner = BenchRunner("tables", quick=quick)
+    with runner.timed("run"):
+        reports = run_jobs(suite_specs(), parallelism=1)
+    runner.workload(n_circuits=len(reports))
 
-    return register_area(BenchArea(name=name, title=title, run=run_bench))
-
-
-def _collect_table1(runner: BenchRunner):
-    rows = run_table1()
-    runner.workload(n_circuits=len(rows))
-    for row in rows:
+    table1 = table1_rows(reports)
+    for row in table1:
         if row.hard:
-            runner.counter(f"{row.key}_length", row.measured_length)
-    runner.counter("max_easy_length", max(r.measured_length for r in rows if not r.hard))
-    return rows
+            runner.counter(f"table1_{row.key}_length", row.measured_length)
+    runner.counter(
+        "table1_max_easy_length",
+        max(row.measured_length for row in table1 if not row.hard),
+    )
+    for name, rows in (("table2", table2_rows(reports)), ("table4", table4_rows(reports))):
+        for row in rows:
+            runner.metric(f"{name}_{row.key}_coverage_percent", row.measured_coverage)
+            runner.counter(f"{name}_{row.key}_undetected", row.n_undetected)
+    for row in table3_rows(reports):
+        runner.counter(f"table3_{row.key}_optimized_length", row.optimized_length)
+        runner.metric(f"table3_{row.key}_improvement", row.improvement_factor)
 
+    figure2 = figure2_data(reports)
+    runner.metric("figure2_final_conventional_coverage", figure2.conventional[-1])
+    runner.metric("figure2_final_optimized_coverage", figure2.optimized[-1])
+    runner.metric("figure2_crossover_gap", figure2.crossover_gap())
 
-def _collect_table2(runner: BenchRunner):
-    rows = run_table2()
-    runner.workload(n_circuits=len(rows))
-    for row in rows:
-        runner.metric(f"{row.key}_coverage_percent", row.measured_coverage)
-        runner.counter(f"{row.key}_undetected", row.n_undetected)
-    return rows
-
-
-def _collect_table3(runner: BenchRunner):
-    rows = run_table3()
-    runner.workload(n_circuits=len(rows))
-    for row in rows:
-        runner.counter(f"{row.key}_optimized_length", row.optimized_length)
-        runner.metric(f"{row.key}_improvement", row.improvement_factor)
-    return rows
-
-
-def _collect_table4(runner: BenchRunner):
-    rows = run_table4()
-    runner.workload(n_circuits=len(rows))
-    for row in rows:
-        runner.metric(f"{row.key}_coverage_percent", row.measured_coverage)
-        runner.counter(f"{row.key}_undetected", row.n_undetected)
-    return rows
-
-
-def _collect_figure2(runner: BenchRunner):
-    data = run_figure2()
-    runner.workload(circuit=data.circuit_name, n_points=len(data.points))
-    runner.metric("final_conventional_coverage", data.conventional[-1])
-    runner.metric("final_optimized_coverage", data.optimized[-1])
-    runner.metric("crossover_gap", data.crossover_gap())
-    return data
-
-
-def _collect_appendix(runner: BenchRunner):
-    listings = run_appendix()
-    runner.workload(n_listings=len(listings))
-    for listing in listings:
+    for listing in appendix_listings(reports):
         weights = np.asarray(listing.weights)
-        runner.counter(f"{listing.circuit_key}_n_inputs", len(listing.weights))
+        runner.counter(f"appendix_{listing.circuit_key}_n_inputs", len(weights))
         runner.metric(
-            f"{listing.circuit_key}_max_deviation", float(np.abs(weights - 0.5).max())
+            f"appendix_{listing.circuit_key}_max_deviation",
+            float(np.abs(weights - 0.5).max()),
         )
-    return listings
+    return runner.result()
 
 
-_experiment_area(
-    "table1", "Table 1: conventional (equiprobable) test lengths", _collect_table1
-)
-_experiment_area(
-    "table2", "Table 2: conventional random-pattern fault coverage", _collect_table2
-)
-_experiment_area("table3", "Table 3: optimized test lengths", _collect_table3)
-_experiment_area(
-    "table4", "Table 4: optimized random-pattern fault coverage", _collect_table4
-)
-_experiment_area(
-    "figure2", "Figure 2: coverage vs. pattern count on S1", _collect_figure2
-)
-_experiment_area(
-    "appendix", "Appendix: optimized input-probability listings", _collect_appendix
+AREA = register_area(
+    BenchArea(
+        name="tables",
+        title="Tables 1-4, Figure 2 and the appendix from one suite sweep",
+        run=run_bench,
+    )
 )

@@ -10,7 +10,7 @@ gated metric and the optimized test lengths are exact counters.
 
 from __future__ import annotations
 
-from ...experiments import clear_caches, run_table5_speedup
+from ...experiments import run_table5_speedup
 from ..artifacts import BenchResult
 from ..compare import RSS_POLICY, MetricPolicy
 from ..registry import BenchArea, register_area
@@ -23,7 +23,6 @@ LARGEST_CIRCUIT_KEY = "s2"
 def run_bench(quick: bool = False) -> BenchResult:
     """Time scalar vs. batched optimization (quick = largest circuit only)."""
     keys = [LARGEST_CIRCUIT_KEY] if quick else None
-    clear_caches()
     runner = BenchRunner("table5", quick=quick, repeats=1)
     with runner.timed("total"):
         rows = run_table5_speedup(keys=keys)

@@ -1,37 +1,31 @@
-"""Experiment runners regenerating every table and figure of the paper."""
+"""Experiment runners regenerating every table and figure of the paper.
 
-from .suite import (
-    CONFIDENCE,
-    ExperimentCircuit,
-    clear_caches,
-    experiment_session,
-    get_experiment_circuit,
-    load_hard_suite,
-    load_suite,
-    optimized_result,
-    simulate_coverage,
-)
+The tables, Figure 2 and the appendix listings are folded from one batch
+sweep (:mod:`repro.experiments.batch`); the Table 5 estimator speedup and
+the multi-weight comparison run their own specs and sessions.
+"""
+
 from .tables import format_count, format_percent, format_seconds, format_table
-from .table1 import Table1Row, format_table1, run_table1
-from .table2 import Table2Row, format_table2, run_table2
-from .table3 import Table3Row, format_table3, run_table3
-from .table4 import Table4Row, format_table4, run_table4
+from .table1 import Table1Row, format_table1
+from .table2 import Table2Row, format_table2
+from .table3 import Table3Row, format_table3
+from .table4 import Table4Row, format_table4
 from .table5 import (
     Table5Row,
     Table5SpeedupRow,
     format_table5,
     format_table5_speedup,
-    run_table5,
     run_table5_speedup,
 )
-from .figure2 import Figure2Data, format_figure2, run_figure2
+from .figure2 import Figure2Data, format_figure2
 from .multi_weight import (
     MultiWeightRow,
     format_multi_weight,
     run_multi_weight,
 )
-from .appendix import AppendixListing, format_appendix, run_appendix
+from .appendix import AppendixListing, format_appendix
 from .batch import (
+    CONFIDENCE,
     appendix_listings,
     figure2_data,
     reports_by_key,
@@ -45,44 +39,29 @@ from .batch import (
 
 __all__ = [
     "CONFIDENCE",
-    "ExperimentCircuit",
-    "clear_caches",
-    "experiment_session",
-    "get_experiment_circuit",
-    "load_suite",
-    "load_hard_suite",
-    "optimized_result",
-    "simulate_coverage",
     "format_table",
     "format_count",
     "format_percent",
     "format_seconds",
     "Table1Row",
-    "run_table1",
     "format_table1",
     "Table2Row",
-    "run_table2",
     "format_table2",
     "Table3Row",
-    "run_table3",
     "format_table3",
     "Table4Row",
-    "run_table4",
     "format_table4",
     "Table5Row",
-    "run_table5",
     "format_table5",
     "Table5SpeedupRow",
     "run_table5_speedup",
     "format_table5_speedup",
     "Figure2Data",
-    "run_figure2",
     "format_figure2",
     "MultiWeightRow",
     "run_multi_weight",
     "format_multi_weight",
     "AppendixListing",
-    "run_appendix",
     "format_appendix",
     "suite_specs",
     "reports_by_key",

@@ -1,16 +1,15 @@
 """The paper-table sweep on the job-spec batch executor.
 
-The session-driven runners (:mod:`repro.experiments.table1` ...) regenerate
-each table through one shared in-process :class:`~repro.pipeline.Session`.
-This module is the same sweep expressed **declaratively**: one
-:class:`~repro.api.PipelineSpec` per benchmark circuit
+Every table and figure of the paper is regenerated from one declarative
+sweep: one :class:`~repro.api.PipelineSpec` per benchmark circuit
 (:func:`suite_specs`), executed — serially or fanned out over a process
 pool — by :func:`repro.api.run_jobs`, and the resulting
-:class:`~repro.pipeline.session.PipelineReport` artifacts folded back into
-the very same table-row dataclasses (:func:`table1_rows` ...
-:func:`appendix_listings`).  ``examples/reproduce_paper_tables.py`` and
-``python -m repro tables`` both drive this path, so the paper reproduction
-exercises the executor end to end.
+:class:`~repro.pipeline.session.PipelineReport` artifacts folded into the
+table-row dataclasses (:func:`table1_rows` ... :func:`appendix_listings`).
+Like one PROTEST run feeding all of the paper's tables, each circuit is
+lowered, analyzed and optimized once per sweep.
+``examples/reproduce_paper_tables.py``, ``python -m repro tables`` and the
+``tables`` bench area all drive this path.
 
 Stage selection mirrors what the paper reports: every circuit is analyzed
 (Table 1); only the starred hard circuits are optimized (Tables 3/5) and
@@ -32,7 +31,6 @@ from ..circuits.registry import BenchmarkCircuit, paper_suite
 from ..pipeline.session import PipelineReport
 from .appendix import AppendixListing
 from .figure2 import Figure2Data, _sample_points
-from .suite import EXPERIMENT_SEED, OPTIMIZER_SWEEPS
 from .table1 import Table1Row
 from .table2 import Table2Row
 from .table3 import Table3Row
@@ -40,6 +38,9 @@ from .table4 import Table4Row
 from .table5 import Table5Row
 
 __all__ = [
+    "CONFIDENCE",
+    "EXPERIMENT_SEED",
+    "OPTIMIZER_SWEEPS",
     "suite_specs",
     "reports_by_key",
     "table1_rows",
@@ -50,6 +51,18 @@ __all__ = [
     "figure2_data",
     "appendix_listings",
 ]
+
+#: Confidence target used for every test-length computation (probability that
+#: every modelled fault is detected; equal to the ``AnalysisConfig`` default
+#: that :func:`suite_specs` leaves in place).
+CONFIDENCE = 0.999
+
+#: Coordinate-descent sweeps used by the experiment optimizations.
+OPTIMIZER_SWEEPS = 8
+
+#: Root seed of the sweep (stage seeds derive from it, so the tables are
+#: reproducible).
+EXPERIMENT_SEED = 1987
 
 
 def suite_specs(

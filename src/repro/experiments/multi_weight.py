@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .suite import EXPERIMENT_SEED, experiment_session, load_hard_suite, optimized_result
+from ..circuits.registry import hard_suite
+from ..pipeline import Session
+from .batch import CONFIDENCE, EXPERIMENT_SEED, OPTIMIZER_SWEEPS
 from .tables import format_count, format_percent, format_table
 
 __all__ = [
@@ -62,25 +64,26 @@ def run_multi_weight(
     suite.
     """
     rows: List[MultiWeightRow] = []
-    session = experiment_session()
-    for experiment in load_hard_suite():
-        if keys is not None and experiment.key not in keys:
+    session = Session(
+        confidence=CONFIDENCE, max_sweeps=OPTIMIZER_SWEEPS, seed=EXPERIMENT_SEED
+    )
+    for entry in hard_suite():
+        if keys is not None and entry.key not in keys:
             continue
-        base = optimized_result(experiment)
+        key = session.add(entry.instantiate(), key=entry.key)
+        base = session.optimize(key)
         weight_sets = session.build_weight_sets(
-            experiment.key,
+            key,
             k=k,
             cluster_seed=EXPERIMENT_SEED,
             session_seed=EXPERIMENT_SEED,
         )
-        report = session.multi_weight_self_test(
-            experiment.key, weight_sets=weight_sets
-        )
+        report = session.multi_weight_self_test(key, weight_sets=weight_sets)
         multi_length = report.multi_set_length
         rows.append(
             MultiWeightRow(
-                key=experiment.key,
-                paper_name=experiment.paper_name,
+                key=key,
+                paper_name=entry.paper_name,
                 k=k,
                 n_sets=weight_sets.k,
                 single_set_length=int(base.test_length),
@@ -90,7 +93,7 @@ def run_multi_weight(
                     if multi_length
                     else float("inf")
                 ),
-                set_lengths=[int(entry.test_length) for entry in weight_sets.sets],
+                set_lengths=[int(s.test_length) for s in weight_sets.sets],
                 coverage=float(report.coverage.coverage),
                 n_patterns=int(report.coverage.n_patterns),
             )

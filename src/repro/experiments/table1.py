@@ -2,8 +2,9 @@
 
 The paper estimates, with PROTEST, the number of equiprobable random patterns
 needed to detect every stuck-at fault with high confidence.  The reproduction
-estimates the same quantity through the shared pipeline session (the batched
-COP detection-probability estimator — bit-identical to the scalar reference —
+estimates the same quantity in the analysis stage of the batch sweep
+(:func:`repro.experiments.batch.table1_rows`: the batched COP
+detection-probability estimator — bit-identical to the scalar reference —
 and the NORMALIZE test-length computation) on the substituted circuits.  The
 shape to reproduce: the starred circuits (S1, S2, C2670, C7552) need orders of
 magnitude more patterns than the rest.
@@ -14,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .suite import CONFIDENCE, ExperimentCircuit, _ensure_registered, load_suite
 from .tables import format_count, format_table
 
-__all__ = ["Table1Row", "run_table1", "format_table1"]
+__all__ = ["Table1Row", "format_table1"]
 
 
 @dataclass
@@ -31,29 +31,6 @@ class Table1Row:
     n_faults: int
     measured_length: int
     paper_length: Optional[float]
-
-
-def _conventional_length(experiment: ExperimentCircuit, confidence: float) -> int:
-    session = _ensure_registered(experiment)
-    return session.required_length(experiment.key, confidence=confidence)
-
-
-def run_table1(confidence: float = CONFIDENCE) -> List[Table1Row]:
-    """Compute the Table 1 rows for the whole benchmark suite."""
-    rows: List[Table1Row] = []
-    for experiment in load_suite():
-        rows.append(
-            Table1Row(
-                key=experiment.key,
-                paper_name=experiment.paper_name,
-                hard=experiment.entry.hard,
-                n_gates=experiment.circuit.n_gates,
-                n_faults=len(experiment.faults),
-                measured_length=_conventional_length(experiment, confidence),
-                paper_length=experiment.entry.paper_conventional_length,
-            )
-        )
-    return rows
 
 
 def format_table1(rows: List[Table1Row]) -> str:

@@ -3,8 +3,9 @@
 The paper fault-simulates 12 000 patterns for S1/S2 and 4 000 for C2670/C7552
 and reports coverages between 77 % and 94 % — too low for production test.
 The reproduction runs the same experiment with the bit-parallel fault
-simulator on the substituted circuits; the shape to reproduce is that every
-starred circuit is left with undetected faults.
+simulator on the substituted circuits
+(:func:`repro.experiments.batch.table2_rows`); the shape to reproduce is that
+every starred circuit is left with undetected faults.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .suite import load_hard_suite, simulate_coverage
 from .tables import format_percent, format_table
 
-__all__ = ["Table2Row", "run_table2", "format_table2"]
+__all__ = ["Table2Row", "format_table2"]
 
 
 @dataclass
@@ -28,26 +28,6 @@ class Table2Row:
     measured_coverage: float  # percent
     n_undetected: int
     paper_coverage: Optional[float]
-
-
-def run_table2(seed: int = 1987) -> List[Table2Row]:
-    """Fault-simulate conventional random patterns on the starred circuits."""
-    rows: List[Table2Row] = []
-    for experiment in load_hard_suite():
-        coverage = simulate_coverage(
-            experiment, experiment.pattern_budget, weights=None, seed=seed
-        )
-        rows.append(
-            Table2Row(
-                key=experiment.key,
-                paper_name=experiment.paper_name,
-                n_patterns=experiment.pattern_budget,
-                measured_coverage=coverage.fault_coverage_percent,
-                n_undetected=len(coverage.result.undetected),
-                paper_coverage=experiment.entry.paper_conventional_coverage,
-            )
-        )
-    return rows
 
 
 def format_table2(rows: List[Table2Row]) -> str:

@@ -4,7 +4,8 @@ After optimizing the input probabilities, PROTEST re-estimates the required
 test length; the paper reports reductions of four to seven orders of magnitude
 for the starred circuits.  The reproduction runs the coordinate-descent
 optimizer on each hard circuit and reports the test length before and after,
-together with the improvement factor.
+together with the improvement factor
+(:func:`repro.experiments.batch.table3_rows`).
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .suite import load_hard_suite, optimized_result
 from .tables import format_count, format_table
 
-__all__ = ["Table3Row", "run_table3", "format_table3"]
+__all__ = ["Table3Row", "format_table3"]
 
 
 @dataclass
@@ -29,25 +29,6 @@ class Table3Row:
     improvement_factor: float
     sweeps: int
     paper_optimized_length: Optional[float]
-
-
-def run_table3() -> List[Table3Row]:
-    """Optimize every hard circuit and collect the test-length estimates."""
-    rows: List[Table3Row] = []
-    for experiment in load_hard_suite():
-        result = optimized_result(experiment)
-        rows.append(
-            Table3Row(
-                key=experiment.key,
-                paper_name=experiment.paper_name,
-                conventional_length=result.initial_test_length,
-                optimized_length=result.test_length,
-                improvement_factor=result.improvement_factor,
-                sweeps=result.sweeps,
-                paper_optimized_length=experiment.entry.paper_optimized_length,
-            )
-        )
-    return rows
 
 
 def format_table3(rows: List[Table3Row]) -> str:

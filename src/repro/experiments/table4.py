@@ -4,7 +4,7 @@ The companion experiment to Table 2: the same pattern budgets (12 000 /
 4 000), but the patterns are drawn from the optimized distribution.  The paper
 reports 98.9-99.7 % coverage; the shape to reproduce is that the optimized
 coverage is dramatically higher than the conventional coverage of Table 2 on
-every starred circuit.
+every starred circuit (:func:`repro.experiments.batch.table4_rows`).
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .suite import load_hard_suite, optimized_result, simulate_coverage
 from .tables import format_percent, format_table
 
-__all__ = ["Table4Row", "run_table4", "format_table4"]
+__all__ = ["Table4Row", "format_table4"]
 
 
 @dataclass
@@ -28,30 +27,6 @@ class Table4Row:
     measured_coverage: float  # percent
     n_undetected: int
     paper_coverage: Optional[float]
-
-
-def run_table4(seed: int = 1987) -> List[Table4Row]:
-    """Fault-simulate weighted random patterns on the starred circuits."""
-    rows: List[Table4Row] = []
-    for experiment in load_hard_suite():
-        optimization = optimized_result(experiment)
-        coverage = simulate_coverage(
-            experiment,
-            experiment.pattern_budget,
-            weights=optimization.quantized_weights,
-            seed=seed,
-        )
-        rows.append(
-            Table4Row(
-                key=experiment.key,
-                paper_name=experiment.paper_name,
-                n_patterns=experiment.pattern_budget,
-                measured_coverage=coverage.fault_coverage_percent,
-                n_undetected=len(coverage.result.undetected),
-                paper_coverage=experiment.entry.paper_optimized_coverage,
-            )
-        )
-    return rows
 
 
 def format_table4(rows: List[Table4Row]) -> str:

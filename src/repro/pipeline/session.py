@@ -693,11 +693,7 @@ class Session:
     # Stage 2: optimization
     # ------------------------------------------------------------------ #
     def optimize(
-        self,
-        key: str,
-        force: bool = False,
-        estimator: Optional[DetectionProbabilityEstimator] = None,
-        max_sweeps: Optional[int] = None,
+        self, key: str, max_sweeps: Optional[int] = None
     ) -> OptimizationResult:
         """Optimized input probabilities for a registered circuit (cached).
 
@@ -706,29 +702,26 @@ class Session:
 
         Args:
             key: session key of the circuit.
-            force: re-run even when a cached result exists.
-            estimator: optional estimator override; results computed with an
-                override are never cached (the Table 5 scalar-vs-batched
-                benchmark relies on this).
-            max_sweeps: optional sweep-budget override for this run.
+            max_sweeps: optional sweep-budget override (ignored once a result
+                is cached).
         """
         entry = self._entry(key)
-        if estimator is None and not force and entry.optimization is not None:
+        if entry.optimization is not None:
             return entry.optimization
         self.lowered(key)
         optimizer = WeightOptimizer(
             entry.circuit,
             faults=entry.faults,
-            estimator=estimator if estimator is not None else self.estimator,
+            estimator=self.estimator,
             confidence=self.confidence,
             bounds=self.bounds,
             alpha=self.alpha,
             max_sweeps=max_sweeps if max_sweeps is not None else self.max_sweeps,
         )
-        result = optimizer.optimize(quantization_step=self.quantization_step)
-        if estimator is None:
-            entry.optimization = result
-        return result
+        entry.optimization = optimizer.optimize(
+            quantization_step=self.quantization_step
+        )
+        return entry.optimization
 
     # ------------------------------------------------------------------ #
     # Stage 3: quantization

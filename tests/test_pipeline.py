@@ -191,19 +191,11 @@ class TestStageEquivalence:
         assert np.all(on_grid | at_bound)
         assert np.all((coarse >= low) & (coarse <= high))
 
-    def test_optimize_cache_force_and_estimator_override(self):
+    def test_optimize_is_cached(self):
         session = _small_session()
         key = session.add(alu_circuit(width=2))
         first = session.optimize(key)
         assert session.optimize(key) is first
-        forced = session.optimize(key, force=True)
-        assert forced is not first
-        # An estimator override is never cached ...
-        scalar = session.optimize(key, estimator=CopDetectionEstimator())
-        assert scalar is not first
-        assert session.optimize(key) is not scalar
-        # ... and (being the same mathematical spec) matches bit for bit.
-        assert scalar.history == first.history
 
     def test_batched_and_scalar_estimator_sessions_agree(self):
         batched = _small_session(estimator=BatchedCopEstimator())
