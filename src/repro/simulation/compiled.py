@@ -12,8 +12,10 @@ as a handful of vectorized kernels per logic level instead of a Python loop
 * gates are grouped into *level kernels* keyed by ``(level, base op)`` where
   the base ops are AND, OR and XOR -- NAND/NOR/XNOR/NOT fold into a per-gate
   inversion mask and BUF is a 1-input AND.  Each kernel evaluates all of its
-  gates with one ``gather -> ufunc.reduceat -> scatter`` sequence over
-  64-pattern ``uint64`` words,
+  gates with one ``gather -> inject -> fold -> invert -> scatter`` sequence
+  over 64-pattern ``uint64`` words (:meth:`LevelKernel.evaluate`, shared by
+  true-value and fault simulation); the fold combines the operands pin by
+  pin with in-place binary ufunc calls, planned once per kernel,
 * transitive fan-out cone arrays are precomputed (and cached on the lowered
   IR) per fault site, so fault simulation only re-evaluates the gates a fault
   can influence,
@@ -41,9 +43,9 @@ from ..lowered import (
     OP_AND,
     OP_OR,
     OP_XOR,
+    LevelGroup,
     LoweredCircuit,
     compile_lowered,
-    ragged_positions,
 )
 
 __all__ = [
@@ -69,26 +71,50 @@ _OP_UFUNC = {
 class LevelKernel:
     """All gates of one logic level sharing one base boolean operation.
 
-    A word-domain view of one :class:`repro.lowered.LevelGroup`: the fan-in
-    net ids of the kernel's gates are concatenated into :attr:`fanin_flat`;
-    gate ``i`` owns the slice
-    ``fanin_flat[seg_starts[i] : seg_starts[i] + seg_lengths[i]]``.
-    Evaluation gathers the operand rows, reduces each segment with the base
-    ufunc and xors the inversion mask.
+    A word-domain view of one :class:`repro.lowered.LevelGroup`, with the
+    gates reordered by descending arity (gates of one level are independent,
+    so the order changes no value).  Row ``j`` of :attr:`fanin` holds every
+    gate's ``j``-th input net; thanks to the order, the gates that have a
+    ``j``-th input are the first :attr:`pin_counts` ``[j]`` columns, and the
+    other columns repeat the gate's first input (gathered, never folded).
+
+    :meth:`evaluate` gathers the operands pin-major, as
+    ``(max arity, n_gates, n_words)``, and folds pin ``j`` into the first
+    ``pin_counts[j]`` accumulator rows with one in-place binary ufunc call.
+    A uniform kernel (every gate with ``k`` inputs, most kernels) folds
+    ``k - 1`` whole contiguous slices.
     """
 
     level: int
     op: int
-    gate_ids: np.ndarray  # int32, ascending (original gate indices)
+    gate_ids: np.ndarray  # int32 original gate indices, descending arity
     outputs: np.ndarray  # int32 net ids driven by the gates
-    fanin_flat: np.ndarray  # int32 net ids, concatenated fan-in segments
-    seg_starts: np.ndarray  # int64 segment starts into fanin_flat
-    seg_lengths: np.ndarray  # int64 segment lengths (all >= 1)
+    fanin: np.ndarray  # int32 net ids, (max arity, n_gates)
+    pin_counts: np.ndarray  # int64 per pin: gates that have that pin
     invert: np.ndarray  # uint64 per gate: all-ones if inverting else 0
     has_invert: bool = field(init=False)
+    uniform: bool = field(init=False)
 
     def __post_init__(self) -> None:
         self.has_invert = bool(self.invert.any())
+        self.uniform = bool(self.pin_counts[-1] == self.gate_ids.size)
+
+    @classmethod
+    def from_group(cls, group: LevelGroup) -> "LevelKernel":
+        order = np.argsort(-group.seg_lengths, kind="stable")
+        lengths = group.seg_lengths[order]
+        pins = np.arange(int(lengths[0]))[:, None]
+        has_pin = pins < lengths[None, :]
+        rows = group.seg_starts[order][None, :] + np.where(has_pin, pins, 0)
+        return cls(
+            level=group.level,
+            op=group.op,
+            gate_ids=group.gate_ids[order],
+            outputs=group.outputs[order],
+            fanin=group.fanin_flat[rows],
+            pin_counts=has_pin.sum(axis=1),
+            invert=np.where(group.invert[order], _ALL_ONES, _ZERO),
+        )
 
     @property
     def ufunc(self) -> np.ufunc:
@@ -97,6 +123,55 @@ class LevelKernel:
     @property
     def n_gates(self) -> int:
         return int(self.gate_ids.size)
+
+    def evaluate(
+        self,
+        values: np.ndarray,
+        rows: Optional[np.ndarray] = None,
+        inject: Sequence[Tuple[int, np.ndarray, slice, np.uint64]] = (),
+    ) -> None:
+        """Evaluate the kernel's gates in place on a net-value matrix.
+
+        gather -> branch-fault inject -> fold -> invert -> scatter: the one
+        evaluation path of true-value and fault simulation.
+
+        Args:
+            values: ``uint64`` matrix ``(n_nets, n_columns)``; the operands
+                are read from it and the gates' outputs written back.
+            rows: optional ascending positions of the gates to evaluate
+                (``None`` = all).
+            inject: ``(gate position, pin offsets, column slice, stuck
+                word)`` branch faults, forced into the gathered operand
+                slots; each gate must be evaluated.
+        """
+        fanin, outputs, invert = self.fanin, self.outputs, self.invert
+        pin_counts = self.pin_counts
+        if rows is not None:
+            fanin, outputs = fanin.take(rows, axis=1), outputs.take(rows)
+            if self.has_invert:
+                invert = invert.take(rows)
+            if not self.uniform:
+                # Evaluated gates within each pin's prefix.  (A uniform
+                # kernel's counts equal its size; slicing clamps them.)
+                pin_counts = rows.searchsorted(pin_counts)
+        ops = values.take(fanin, axis=0)
+        for slot, rel, col, stuck_word in inject:
+            if rows is not None:
+                slot = int(rows.searchsorted(slot))
+            ops[rel, slot, col] = stuck_word
+        # Measured: binary ufuncs on row slices run 7-18x faster than one
+        # segmented ufunc reduction over the same operands (a 2-input gate
+        # over 2,048 words: 1.5 us vs 27.5 us); pin-major slices are
+        # contiguous, 2-4x faster again than gate-major strided views at
+        # 1-256 words.
+        acc = ops[0]
+        ufunc = self.ufunc
+        for pin in range(1, fanin.shape[0]):
+            count = pin_counts[pin]
+            ufunc(acc[:count], ops[pin, :count], out=acc[:count])
+        if self.has_invert:
+            acc ^= invert[:, None]
+        values[outputs] = acc
 
 
 def popcount_words(words: np.ndarray) -> np.ndarray:
@@ -140,25 +215,17 @@ class CompiledCircuit:
     def __init__(self, lowered: LoweredCircuit):
         self.lowered = lowered
         self.circuit = lowered.circuit
-        self.kernels = [
-            LevelKernel(
-                level=group.level,
-                op=group.op,
-                gate_ids=group.gate_ids,
-                outputs=group.outputs,
-                fanin_flat=group.fanin_flat,
-                seg_starts=group.seg_starts,
-                seg_lengths=group.seg_lengths,
-                invert=np.where(group.invert, _ALL_ONES, _ZERO),
-            )
-            for group in lowered.groups
-        ]
+        self.kernels = [LevelKernel.from_group(group) for group in lowered.groups]
+        self.gate_kernel = lowered.gate_group
+        # Position of each gate within its kernel (-1 for constants).
+        self.gate_slot = np.full(lowered.n_gates, -1, dtype=np.int64)
+        for kern in self.kernels:
+            self.gate_slot[kern.gate_ids] = np.arange(kern.n_gates)
         self.inputs = lowered.inputs
         self.outputs = lowered.outputs
         self.const0_nets = lowered.const0_nets
         self.const1_nets = lowered.const1_nets
         self.gate_output = lowered.gate_output
-        self.gate_kernel = lowered.gate_group
         self.net_writer_gate = lowered.net_writer_gate
         self.net_level = lowered.net_level
         self.n_nets = lowered.n_nets
@@ -197,11 +264,7 @@ class CompiledCircuit:
         if self.const1_nets.size:
             values[self.const1_nets] = _ALL_ONES
         for kern in self.kernels:
-            ops = values[kern.fanin_flat]
-            acc = kern.ufunc.reduceat(ops, kern.seg_starts, axis=0)
-            if kern.has_invert:
-                acc ^= kern.invert[:, None]
-            values[kern.outputs] = acc
+            kern.evaluate(values)
         return values
 
     # ------------------------------------------------------------------ #
@@ -235,7 +298,7 @@ class CompiledCircuit:
         member = np.zeros(self.n_gates, dtype=bool)
         # kernel index -> [(net, column slice, stuck word, writer gate)]
         stem_reforce: Dict[int, List[Tuple[int, slice, np.uint64, int]]] = {}
-        # kernel index -> [(gate id, pin offsets, column slice, stuck word)]
+        # kernel index -> [(gate slot, pin offsets, column slice, stuck word)]
         branch_inject: Dict[int, List[Tuple[int, np.ndarray, slice, np.uint64]]] = {}
 
         for fi, fault in enumerate(faults):
@@ -253,42 +316,23 @@ class CompiledCircuit:
                 kernel_idx = int(self.gate_kernel[fault.gate])
                 rel = self.lowered.pin_offsets(fault.gate, fault.net)
                 branch_inject.setdefault(kernel_idx, []).append(
-                    (fault.gate, rel, cols[fi], stuck[fi])
+                    (int(self.gate_slot[fault.gate]), rel, cols[fi], stuck[fi])
                 )
 
         for ki, kern in enumerate(self.kernels):
-            selected = member[kern.gate_ids]
-            if not selected.any():
+            rows = np.flatnonzero(member[kern.gate_ids])
+            if not rows.size:
                 continue
-            if selected.all():
-                fanin = kern.fanin_flat
-                offsets = kern.seg_starts
-                outputs = kern.outputs
-                invert = kern.invert
-                sel_ids = kern.gate_ids
-            else:
-                starts = kern.seg_starts[selected]
-                lengths = kern.seg_lengths[selected]
-                fanin = kern.fanin_flat[ragged_positions(starts, lengths)]
-                offsets = np.zeros(starts.size, dtype=np.int64)
-                np.cumsum(lengths[:-1], out=offsets[1:])
-                outputs = kern.outputs[selected]
-                invert = kern.invert[selected]
-                sel_ids = kern.gate_ids[selected]
-            ops = values[fanin]
-            for gate_id, rel, col, stuck_word in branch_inject.get(ki, ()):
-                # fault.gate is always in its own cone, hence selected.
-                pos = int(np.searchsorted(sel_ids, gate_id))
-                ops[int(offsets[pos]) + rel, col] = stuck_word
-            acc = kern.ufunc.reduceat(ops, offsets, axis=0)
-            if kern.has_invert:
-                acc ^= invert[:, None]
-            values[outputs] = acc
+            # A branch fault's gate is in its own cone, hence evaluated.
+            kern.evaluate(
+                values,
+                None if rows.size == kern.n_gates else rows,
+                branch_inject.get(ki, ()),
+            )
             for net, col, stuck_word, writer in stem_reforce.get(ki, ()):
                 # Re-force the stem if this kernel rewrote the faulty net
                 # (its driver may sit inside another group member's cone).
-                pos = int(np.searchsorted(sel_ids, writer))
-                if pos < sel_ids.size and sel_ids[pos] == writer:
+                if member[writer]:
                     values[net, col] = stuck_word
         return values
 

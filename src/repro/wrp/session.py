@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +50,12 @@ __all__ = [
     "MultiWeightReport",
     "run_multi_weight_session",
 ]
+
+#: Patterns per signature chunk.  A set scheduled for more patterns is
+#: streamed through the signature register in chunks of this length (under
+#: weakly optimized weights a set can be scheduled for ~2e7 patterns); a set
+#: that fits in one chunk keeps its fault-free net values cached.
+_SIGNATURE_CHUNK = 65536
 
 
 @dataclass
@@ -218,7 +224,7 @@ class MultiSetSelfTestSession:
         self.misr_taps = tuple(misr_taps) if misr_taps is not None else None
         self._engine: CompiledCircuit = compile_circuit(circuit)
         self._patterns: Optional[List[np.ndarray]] = None
-        self._good_values: Optional[List[np.ndarray]] = None
+        self._good_values: Dict[int, np.ndarray] = {}
         self._golden: Optional[int] = None
 
     # ------------------------------------------------------------------ #
@@ -261,30 +267,36 @@ class MultiSetSelfTestSession:
             ]
         return self._patterns
 
-    def _good_net_values(self) -> List[np.ndarray]:
-        if self._good_values is None:
-            self._good_values = [
-                self._engine.simulate_words(pack_patterns(matrix))
-                for matrix in self.patterns()
-            ]
-        return self._good_values
-
-    def _responses(self, set_index: int, fault: Optional[Fault]) -> np.ndarray:
-        good = self._good_net_values()[set_index]
-        n_patterns = self.entries[set_index].n_patterns
-        if fault is None:
-            return unpack_values(good[self._engine.outputs], n_patterns)
-        n_words = good.shape[1]
-        out_words = self._engine.fault_output_words([fault], good, n_words)[:, 0, :]
-        return unpack_values(out_words, n_patterns)
+    def _good_chunks(self, set_index: int) -> Iterator[Tuple[np.ndarray, int]]:
+        """Fault-free net values of one set, as ``(values, n_patterns)`` chunks."""
+        entry = self.entries[set_index]
+        if entry.n_patterns > _SIGNATURE_CHUNK:
+            generator = self._make_generator(entry)
+            for matrix in generator.generate_stream(entry.n_patterns, _SIGNATURE_CHUNK):
+                yield self._engine.simulate_words(pack_patterns(matrix)), matrix.shape[0]
+            return
+        good = self._good_values.get(set_index)
+        if good is None:
+            matrix = self._make_generator(entry).generate(entry.n_patterns)
+            good = self._engine.simulate_words(pack_patterns(matrix))
+            self._good_values[set_index] = good
+        yield good, entry.n_patterns
 
     def _signature(self, fault: Optional[Fault]) -> int:
         # One register spans the whole schedule: compact continues the state
-        # across sets, so the result equals compacting the concatenation.
+        # across chunks and sets, so the result equals compacting the
+        # concatenation of every set's responses.
         misr = self._fresh_misr()
         signature = 0
         for set_index in range(self.n_sets):
-            signature = misr.compact(self._responses(set_index, fault))
+            for good, n_patterns in self._good_chunks(set_index):
+                if fault is None:
+                    out_words = good[self._engine.outputs]
+                else:
+                    out_words = self._engine.fault_output_words(
+                        [fault], good, good.shape[1]
+                    )[:, 0, :]
+                signature = misr.compact(unpack_values(out_words, n_patterns))
         return int(signature)
 
     def golden_signature(self) -> int:

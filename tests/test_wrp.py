@@ -25,7 +25,7 @@ from repro.api import (
 )
 from repro.circuit.bench import parse_bench
 from repro.faults import collapsed_fault_list
-from repro.patterns import LfsrWeightedPatternGenerator
+from repro.patterns import LfsrWeightedPatternGenerator, golden_signature
 from repro.patterns.bilbo import SelfTestSession
 from repro.pipeline import Session
 from repro.wrp import (
@@ -38,6 +38,7 @@ from repro.wrp import (
     joint_schedule,
     run_multi_weight_session,
 )
+from repro.wrp import session as wrp_session
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,30 @@ class TestDegenerateEquivalence:
         seeds = [entry.lfsr_seed for entry in c17_sets.sets]
         assert seeds[0] == c17_sets.session_seed
         assert len(set(seeds)) == len(seeds)
+
+
+# --------------------------------------------------------------------------- #
+# Signatures streamed through the MISR in chunks
+# --------------------------------------------------------------------------- #
+class TestSignatureChunking:
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_chunked_signatures_equal_unchunked(
+        self, c17, c17_faults, c17_sets, monkeypatch, chunk
+    ):
+        # A 16-bit register so that faulty signatures rarely alias the golden.
+        whole = MultiSetSelfTestSession(c17, c17_sets, misr_width=16)
+        golden = whole.golden_signature()
+        faulty = [whole.run(fault=fault).signature for fault in c17_faults[:4]]
+        assert any(signature != golden for signature in faulty)
+        assert golden == golden_signature(c17, np.vstack(whole.patterns()), width=16)
+
+        monkeypatch.setattr(wrp_session, "_SIGNATURE_CHUNK", chunk)
+        assert max(entry.n_patterns for entry in c17_sets.sets) > chunk
+        chunked = MultiSetSelfTestSession(c17, c17_sets, misr_width=16)
+        assert chunked.golden_signature() == golden
+        assert [
+            chunked.run(fault=fault).signature for fault in c17_faults[:4]
+        ] == faulty
 
 
 # --------------------------------------------------------------------------- #
