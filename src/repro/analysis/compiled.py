@@ -54,6 +54,7 @@ from ..faults.model import Fault
 from ..lowered import (
     OP_OR,
     OP_XOR,
+    FaultArrays,
     LevelGroup,
     LoweredCircuit,
     PinLevel,
@@ -391,18 +392,15 @@ class CompiledCop:
         plan = self._fault_plans.get(key)
         if plan is None:
             lowered = self.lowered
-            nets = np.asarray([f.net for f in faults], dtype=np.int64)
-            stuck = np.asarray([f.stuck_value for f in faults], dtype=bool)
-            stem = np.asarray([f.is_stem for f in faults], dtype=bool)
-            slots = np.zeros(len(faults), dtype=np.int64)
-            for fi, fault in enumerate(faults):
-                if fault.is_stem:
-                    continue
-                position = int(
-                    np.flatnonzero(lowered.gate_inputs(fault.gate) == fault.net)[0]
-                )
-                slots[fi] = lowered.pin_slot_of(fault.gate, position)
-            plan = (nets, stuck, stem, slots)
+            arrays = FaultArrays.from_faults(faults)
+            stem = arrays.gate < 0
+            slots = np.zeros(len(arrays), dtype=np.int64)
+            branch = np.flatnonzero(~stem)
+            if branch.size:
+                gates = arrays.gate[branch]
+                pins = lowered.fault_pins(gates, arrays.net[branch])
+                slots[branch] = lowered.pin_base[gates] + pins.argmax(axis=1)
+            plan = (arrays.net, arrays.stuck, stem, slots)
             if len(self._fault_plans) >= 16:
                 self._fault_plans.clear()
             self._fault_plans[key] = plan

@@ -36,8 +36,8 @@ class MonteCarloDetectionEstimator:
         fixed_seed: reuse exactly the same sample patterns on every call
             (useful in tests to make the estimate deterministic).
         batch_size: bit-parallel batch size for the underlying fault simulator.
-        fault_group: faults simulated simultaneously by the compiled
-            fault-parallel engine (``None`` = adaptive).
+        fault_group: fanout-free-region root flips the compiled engine
+            propagates together per group (``None`` = adaptive).
     """
 
     def __init__(

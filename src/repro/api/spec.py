@@ -305,8 +305,9 @@ class FaultSimConfig(_ConfigBase):
             is set).  ``None`` falls back to the circuit's paper budget when
             the spec references a registry circuit, else 4000.
         batch_size: bit-parallel batch size.
-        fault_group: faults simulated simultaneously per group (``None`` =
-            adaptive).
+        fault_group: fanout-free-region root flips propagated together per
+            group by the fault simulator (``None`` = adaptive).  Detection
+            results are invariant under this choice.
         target_coverage: optional coverage fraction at which to stop early.
         partition_size: PPSFP fault partition size (``None`` = one partition
             spanning all active faults).  Detection results are invariant

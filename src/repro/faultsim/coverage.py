@@ -118,8 +118,8 @@ def random_pattern_coverage(
         faults: fault list; defaults to the collapsed stuck-at list.
         seed: RNG seed (kept fixed so tables are reproducible).
         batch_size: bit-parallel batch size.
-        fault_group: faults simulated simultaneously per group (``None`` =
-            adaptive, see :class:`ParallelFaultSimulator`).
+        fault_group: fanout-free-region root flips propagated together per
+            group (``None`` = adaptive, see :class:`ParallelFaultSimulator`).
         chunk_size: patterns generated (and held in memory) per stream chunk.
         target_coverage: optional fault-coverage fraction at which to stop
             the stream early; the returned experiment's ``n_patterns`` then

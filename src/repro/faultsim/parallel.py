@@ -6,17 +6,24 @@ detected and after how many patterns.  The simulator runs on the compiled
 structure-of-arrays engine (:mod:`repro.simulation.compiled`), which itself
 consumes the shared lowered-circuit IR (:mod:`repro.lowered`) — creating a
 simulator never re-walks the netlist; it picks up the cached lowering (level
-kernels, fan-out cone bitsets) every other engine over the circuit uses:
+kernels, fan-out cones, fanout-free regions) every other engine over the
+circuit uses:
 
 * the fault-free circuit is simulated bit-parallel (64 patterns per word)
   through vectorized per-level kernels,
-* still-undetected faults are simulated in *groups*: every fault of a group
-  owns a block of pattern words in one wide value matrix, and only the union
-  of the group's precomputed fan-out cones is re-evaluated with the fault
-  effects injected,
-* a fault is detected by every pattern for which some primary output differs
-  from the fault-free value, and detected faults are dropped from subsequent
-  batches.
+* each batch's still-undetected faults go to the engine in one call, as the
+  active fault partitions
+  (:meth:`~repro.simulation.compiled.CompiledCircuit.detection_words`).  It
+  *traces* every fault to the root of its fanout-free region on the good
+  values — activation, then non-controlling side inputs along the region's
+  single path, computed once per batch for all nets — and *propagates
+  explicitly* only one flip per distinct root, in groups of root flips that
+  share one wide value matrix.  Tracing is exact because a region has no
+  reconvergence: the fault's effect reaches the rest of the circuit only
+  through the root,
+* a fault is detected by every pattern for which it flips its root and that
+  flip changes some primary output, and detected faults are dropped from
+  subsequent batches.
 
 The per-fault interpreted baseline this replaced is preserved as
 :class:`repro.faultsim.legacy.LegacyParallelFaultSimulator` and is
@@ -33,6 +40,7 @@ import numpy as np
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault
+from ..lowered import FaultArrays
 from ..simulation.compiled import (
     compile_circuit,
     first_detection_indices,
@@ -43,17 +51,6 @@ from ..simulation.logicsim import WORD_BITS, pack_patterns
 __all__ = ["ParallelFaultSimulator", "FaultSimResult", "FaultSimStats"]
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: Target width (in 64-pattern words) of one fault-parallel value matrix;
-#: the adaptive group size packs this many columns regardless of batch size.
-_TARGET_COLUMNS = 4096
-
-#: Upper bound on the adaptive group size.  Larger groups mean fewer kernel
-#: passes but a larger union fan-out cone per group (more gather traffic).
-#: With the binary-ufunc kernel fold, s2 (4,384 collapsed faults, 12,000
-#: random patterns, 2 vCPUs) takes 3.7 s at 16, 2.2-2.4 s at 32, 1.4-1.7 s
-#: at 64 and 2.0-2.1 s at 128 faults per group, so the bound stays at 64.
-_MAX_ADAPTIVE_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -261,9 +258,9 @@ class ParallelFaultSimulator:
     Args:
         circuit: circuit under test.
         faults: fault list; defaults to the collapsed stuck-at list.
-        fault_group: number of faults simulated simultaneously per group;
-            ``None`` picks a size that fills :data:`_TARGET_COLUMNS` pattern
-            words per value matrix.
+        fault_group: number of fanout-free-region root flips propagated
+            together per group; ``None`` picks the adaptive size
+            (:func:`~repro.simulation.compiled.flip_group_size`).
         partition_size: PPSFP-style fault partition size for
             :meth:`run_stream` — the active fault set is processed in
             partitions of at most this many faults, and detected faults are
@@ -291,22 +288,15 @@ class ParallelFaultSimulator:
         # the lowering underneath it) comes from the content-addressed cache.
         self._engine = compile_circuit(circuit)
         self.lowered = self._engine.lowered
+        self._arrays = FaultArrays.from_faults(self.faults)
 
-    def _group_size(self, n_words: int) -> int:
-        if self.fault_group is not None:
-            return max(1, int(self.fault_group))
-        return max(1, min(_MAX_ADAPTIVE_GROUP, _TARGET_COLUMNS // max(1, n_words)))
+    def _site_level_order(self) -> np.ndarray:
+        """Fault indices stably sorted by fault-site logic level.
 
-    def _site_level_order(self, faults: Sequence[Fault]) -> List[int]:
-        """Indices of ``faults`` stably sorted by fault-site logic level.
-
-        Faults with nearby sites have heavily overlapping fan-out cones, so
-        grouping them minimizes the union cone each group re-evaluates.  The
-        processing order does not affect results (detections are per fault and
-        per pattern), only locality.
+        Partitions of nearby faults share fanout-free regions and fan-out
+        cones.  The order does not affect results, only locality.
         """
-        levels = self._engine.net_level
-        return sorted(range(len(faults)), key=lambda fi: int(levels[faults[fi].net]))
+        return np.argsort(self._engine.net_level[self._arrays.net], kind="stable")
 
     # ------------------------------------------------------------------ #
     # Public entry points
@@ -371,7 +361,7 @@ class ParallelFaultSimulator:
         # PPSFP active set: fault indices, site-level sorted, physically
         # compacted between batches — dropped faults vanish from the arrays
         # instead of being masked, so later batches never touch them.
-        active = np.asarray(self._site_level_order(self.faults), dtype=np.int64)
+        active = self._site_level_order()
         first_det = np.full(n_faults, -1, dtype=np.int64)
         applied = 0
         n_batches = 0
@@ -390,8 +380,6 @@ class ParallelFaultSimulator:
                     batch_len = batch.shape[0]
                     n_words = (batch_len + WORD_BITS - 1) // WORD_BITS
                     good = engine.simulate_words(pack_patterns(batch))
-                    mask = _valid_mask(batch_len, n_words)
-                    group_size = self._group_size(n_words)
                     n_batches += 1
                     active_sizes.append(int(active.size))
                     faults_simulated += int(active.size)
@@ -400,25 +388,28 @@ class ParallelFaultSimulator:
                         if self.partition_size is not None
                         else int(active.size)
                     )
-                    for p_start in range(0, int(active.size), partition_size):
-                        partition = active[p_start : p_start + partition_size]
-                        for g_start in range(0, int(partition.size), group_size):
-                            group_idx = partition[g_start : g_start + group_size]
-                            group = [self.faults[fi] for fi in group_idx]
-                            detection = engine.fault_batch_detection(
-                                group, good, n_words, valid_mask=mask
+                    partitions = [
+                        active[p_start : p_start + partition_size]
+                        for p_start in range(0, int(active.size), partition_size)
+                    ]
+                    detections = engine.detection_words(
+                        [self._arrays.take(partition) for partition in partitions],
+                        good,
+                        _valid_mask(batch_len, n_words),
+                        self.fault_group,
+                    )
+                    for partition, detection in zip(partitions, detections):
+                        firsts = first_detection_indices(detection)
+                        hit = firsts >= 0
+                        if hit.any():
+                            # Without dropping a fault stays active after
+                            # detection; never let a later batch overwrite
+                            # the first index.
+                            hit_idx = partition[hit]
+                            fresh = first_det[hit_idx] < 0
+                            first_det[hit_idx[fresh]] = (
+                                applied + start + firsts[hit][fresh]
                             )
-                            firsts = first_detection_indices(detection)
-                            hit = firsts >= 0
-                            if hit.any():
-                                # Without dropping a fault stays active after
-                                # detection; never let a later batch overwrite
-                                # the first index.
-                                hit_idx = group_idx[hit]
-                                fresh = first_det[hit_idx] < 0
-                                first_det[hit_idx[fresh]] = (
-                                    applied + start + firsts[hit][fresh]
-                                )
                     if drop_detected:
                         before = int(active.size)
                         active = active[first_det[active] < 0]
@@ -457,21 +448,17 @@ class ParallelFaultSimulator:
         n_patterns = patterns.shape[0]
         engine = self._engine
         counts = np.zeros(len(self.faults), dtype=np.int64)
-        order = self._site_level_order(self.faults)
         for start in range(0, n_patterns, batch_size):
             batch = patterns[start : start + batch_size]
             batch_len = batch.shape[0]
             n_words = (batch_len + WORD_BITS - 1) // WORD_BITS
-            good = engine.simulate_words(pack_patterns(batch))
-            mask = _valid_mask(batch_len, n_words)
-            group_size = self._group_size(n_words)
-            for g_start in range(0, len(order), group_size):
-                group_idx = order[g_start : g_start + group_size]
-                group = [self.faults[fi] for fi in group_idx]
-                detection = engine.fault_batch_detection(
-                    group, good, n_words, valid_mask=mask
-                )
-                counts[group_idx] += popcount_words(detection)
+            (detection,) = engine.detection_words(
+                [self._arrays],
+                engine.simulate_words(pack_patterns(batch)),
+                _valid_mask(batch_len, n_words),
+                self.fault_group,
+            )
+            counts += popcount_words(detection)
         return counts
 
     def detects(self, fault: Fault, pattern: Sequence[bool]) -> bool:

@@ -16,6 +16,8 @@ from .ir import (
     OP_AND,
     OP_OR,
     OP_XOR,
+    FanoutFreeRegions,
+    FaultArrays,
     LevelGroup,
     LoweredCircuit,
     PinLevel,
@@ -33,6 +35,8 @@ __all__ = [
     "OP_OR",
     "OP_XOR",
     "GATE_OP",
+    "FanoutFreeRegions",
+    "FaultArrays",
     "LevelGroup",
     "PinLevel",
     "LoweredCircuit",

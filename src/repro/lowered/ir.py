@@ -16,13 +16,20 @@ near-duplicate per-level kernels, pin maps and fan-out structures.
   engines reinterpret the same arrays: ``uint64`` pattern words for
   simulation, ``float64`` probability batches for analysis.
 * **Pin levels** — the canonical global pin-slot numbering used by the COP
-  backward (observability) pass and by branch-fault bookkeeping: levels
-  descending, gates ascending within a level, input positions ascending.
-  Every pin of a gate occupies consecutive slots, so
-  :meth:`LoweredCircuit.pin_slot_of` is a single array lookup.
+  backward (observability) pass: levels descending, gates ascending within a
+  level, input positions ascending.  Every pin of a gate occupies
+  consecutive slots, so :meth:`LoweredCircuit.pin_slot_of` is a single array
+  lookup.
 * **Fan-out cones** — per-net transitive fan-out gate sets as ``uint64``
   bitsets (built lazily with one reverse-topological sweep) plus cached
-  per-site index arrays, shared by every fault simulator over the circuit.
+  per-net index arrays, shared by every fault simulator over the circuit.
+* **Fanout-free regions** — every net's region root plus the single reader
+  pin of every net read exactly once (:class:`FanoutFreeRegions`, built
+  lazily with array operations), the structure critical path tracing walks.
+* **Fault arrays** — a fault list as parallel ``net``/``stuck``/``gate``
+  arrays (:class:`FaultArrays`) and the pins each branch fault forces
+  (:meth:`LoweredCircuit.fault_pins`), the one fault-to-array mapping of the
+  simulation and analysis engines.
 
 Instances are produced by :func:`repro.lowered.compile_lowered`, which caches
 them process-wide keyed by :meth:`Circuit.structural_hash`, so a circuit is
@@ -33,7 +40,7 @@ stages consume it — and structurally identical rebuilds share the artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +53,8 @@ __all__ = [
     "OP_OR",
     "OP_XOR",
     "GATE_OP",
+    "FanoutFreeRegions",
+    "FaultArrays",
     "LevelGroup",
     "PinLevel",
     "LoweredCircuit",
@@ -135,6 +144,68 @@ class PinLevel:
     @property
     def n_pins(self) -> int:
         return int(self.pin_src.size)
+
+
+@dataclass(frozen=True)
+class FaultArrays:
+    """A fault list as parallel arrays, one entry per fault.
+
+    Built with :meth:`from_faults` (three ``np.fromiter`` passes, no
+    per-fault Python containers) and subset with :meth:`take`, so a fault
+    simulator maps its list to arrays once and hands out index views.
+    """
+
+    net: np.ndarray  # int64 faulty net
+    stuck: np.ndarray  # bool stuck-at value
+    gate: np.ndarray  # int64 reading gate of a branch fault, -1 for a stem
+
+    @classmethod
+    def from_faults(cls, faults: Sequence[Fault]) -> "FaultArrays":
+        count = len(faults)
+        return cls(
+            net=np.fromiter((f.net for f in faults), dtype=np.int64, count=count),
+            stuck=np.fromiter(
+                (f.stuck_value for f in faults), dtype=bool, count=count
+            ),
+            gate=np.fromiter(
+                (-1 if f.gate is None else f.gate for f in faults),
+                dtype=np.int64,
+                count=count,
+            ),
+        )
+
+    def __len__(self) -> int:
+        return int(self.net.size)
+
+    def take(self, index: np.ndarray) -> "FaultArrays":
+        """The faults at ``index``, in that order."""
+        return FaultArrays(self.net[index], self.stuck[index], self.gate[index])
+
+
+@dataclass(frozen=True)
+class FanoutFreeRegions:
+    """The fanout-free regions (FFRs) of a circuit.
+
+    A net is a region *root* when it is a primary output, has no reader, or
+    is read by more than one gate pin (a gate reading it twice counts
+    twice).  Every other net is read by exactly one pin, ``(reader, pin)``,
+    and belongs to the region of its reader's output net.  Inside a region
+    the only path from a net to its root runs through these single readers,
+    so nothing reconverges before the root.
+
+    ``jumps`` drives the path pass by pointer doubling: round ``k`` is a
+    ``(rows, targets)`` pair, where ``targets`` is the net ``2**k`` reader
+    steps up from each net of ``rows`` that has not yet reached its root.
+    """
+
+    root: np.ndarray  # int64 per net: root of its region (a root: itself)
+    reader: np.ndarray  # int64 per net: the single reading gate, -1 for roots
+    pin: np.ndarray  # int64 per net: input position at the reader, -1 for roots
+    jumps: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def is_root(self) -> np.ndarray:
+        return self.reader < 0
 
 
 class LoweredCircuit:
@@ -264,8 +335,8 @@ class LoweredCircuit:
         # Lazily built fan-out structures (shared by every consumer).
         self._reach: Optional[np.ndarray] = None
         self._stem_cones: Dict[int, np.ndarray] = {}
-        self._gate_cones: Dict[int, np.ndarray] = {}
-        self._pin_offsets_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        self._fanin_padded: Optional[np.ndarray] = None
+        self._ffr: Optional[FanoutFreeRegions] = None
 
         # Per-domain engine slots filled by the compile entry points
         # (repro.simulation.compiled / repro.analysis.compiled), so engines
@@ -292,14 +363,75 @@ class LoweredCircuit:
             raise KeyError((gate, position))
         return base + position
 
-    def pin_offsets(self, gate: int, net: int) -> np.ndarray:
-        """Offsets (within the gate's fan-in segment) of pins reading ``net``."""
-        key = (gate, net)
-        rel = self._pin_offsets_cache.get(key)
-        if rel is None:
-            rel = np.flatnonzero(self.gate_inputs(gate) == net)
-            self._pin_offsets_cache[key] = rel
-        return rel
+    def _pin_gates_positions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Reading gate and input position of every pin of ``gate_fanin_flat``."""
+        pin_gate = np.repeat(np.arange(self.n_gates, dtype=np.int64), self.gate_fanin_len)
+        position = np.arange(pin_gate.size, dtype=np.int64) - np.repeat(
+            self.gate_fanin_start, self.gate_fanin_len
+        )
+        return pin_gate, position
+
+    @property
+    def fanin_padded(self) -> np.ndarray:
+        """Per-gate fan-in nets as ``(n_gates, max arity)``, padded with -1."""
+        if self._fanin_padded is None:
+            max_arity = int(self.gate_fanin_len.max()) if self.n_gates else 0
+            padded = np.full((self.n_gates, max_arity), -1, dtype=np.int64)
+            pin_gate, position = self._pin_gates_positions()
+            padded[pin_gate, position] = self.gate_fanin_flat
+            self._fanin_padded = padded
+        return self._fanin_padded
+
+    def fault_pins(self, gates: np.ndarray, nets: np.ndarray) -> np.ndarray:
+        """Which pins each branch fault forces: every pin of ``gates[i]`` reading ``nets[i]``.
+
+        Returns a ``bool`` matrix ``(len(gates), max arity)`` over the
+        columns of :attr:`fanin_padded`.
+
+        Raises:
+            ValueError: if some gate does not read its fault's net.
+        """
+        pins = self.fanin_padded[gates] == nets[:, None]
+        missing = ~pins.any(axis=1)
+        if missing.any():
+            row = int(np.flatnonzero(missing)[0])
+            raise ValueError(
+                f"branch fault on net {int(nets[row])}: gate {int(gates[row])} "
+                "does not read that net"
+            )
+        return pins
+
+    # ------------------------------------------------------------------ #
+    # Fanout-free regions
+    # ------------------------------------------------------------------ #
+    def fanout_free_regions(self) -> FanoutFreeRegions:
+        """The circuit's fanout-free regions (built once, with array operations)."""
+        if self._ffr is None:
+            fanin = self.gate_fanin_flat
+            reads = np.bincount(fanin, minlength=self.n_nets)
+            is_root = reads != 1
+            is_root[self.outputs] = True
+            pin_gate, position = self._pin_gates_positions()
+            single = ~is_root[fanin]
+            reader = np.full(self.n_nets, -1, dtype=np.int64)
+            pin = np.full(self.n_nets, -1, dtype=np.int64)
+            reader[fanin[single]] = pin_gate[single]
+            pin[fanin[single]] = position[single]
+            # Successor of every net one reader step up; a root is its own.
+            succ = np.arange(self.n_nets, dtype=np.int64)
+            inner = np.flatnonzero(~is_root)
+            succ[inner] = self.gate_output[reader[inner]]
+            jumps = []
+            rows = inner
+            while rows.size:
+                rows = rows[~is_root[succ[rows]]]
+                if rows.size:
+                    jumps.append((rows, succ[rows]))
+                    succ[rows] = succ[succ[rows]]
+            self._ffr = FanoutFreeRegions(
+                root=succ, reader=reader, pin=pin, jumps=tuple(jumps)
+            )
+        return self._ffr
 
     # ------------------------------------------------------------------ #
     # Fan-out cones
@@ -341,18 +473,12 @@ class LoweredCircuit:
             self._stem_cones[net] = cone
         return cone
 
-    def fault_cone(self, fault: Fault) -> np.ndarray:
-        """Gate indices to re-evaluate for ``fault`` (ascending order)."""
-        if fault.is_stem:
-            return self.cone_gates(fault.net)
-        cone = self._gate_cones.get(fault.gate)
-        if cone is None:
-            downstream = self.cone_gates(int(self.gate_output[fault.gate]))
-            cone = np.union1d(
-                np.asarray([fault.gate], dtype=np.int32), downstream
-            ).astype(np.int32)
-            self._gate_cones[fault.gate] = cone
-        return cone
+    def cone_member(self, nets: np.ndarray) -> np.ndarray:
+        """``bool`` per gate: in the transitive fan-out of any of ``nets``."""
+        bits = np.bitwise_or.reduce(self._reach_bitsets()[nets], axis=0)
+        return np.unpackbits(bits.view(np.uint8), bitorder="little")[
+            : self.n_gates
+        ].astype(bool)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

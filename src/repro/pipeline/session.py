@@ -766,7 +766,9 @@ class Session:
         session-level setting; detection results are bit-identical across
         partitionings (only the attached
         :class:`~repro.faultsim.FaultSimStats` differ), but the cache still
-        keys on it so the stats stay faithful.
+        keys on it so the stats stay faithful.  ``fault_group`` is the
+        number of fanout-free-region root flips propagated together per
+        group (``None`` = adaptive); it never changes detection results.
         """
         entry = self._entry(key)
         self.lowered(key)

@@ -2,38 +2,55 @@
 
 :class:`CompiledCircuit` is the ``uint64`` pattern-word interpretation of the
 shared lowered-circuit IR (:mod:`repro.lowered`): the levelized SoA arrays —
-per-level gate groups, ragged fan-in segments, fan-out cone bitsets — are
-built once by :func:`repro.lowered.compile_lowered` (content-addressed,
-cached process-wide) and this engine only derives the word-domain kernels
-from them, so the hot loops of true-value simulation and fault simulation run
-as a handful of vectorized kernels per logic level instead of a Python loop
-(with dict lookups) per gate:
+per-level gate groups, ragged fan-in segments, fan-out cone bitsets,
+fanout-free regions — are built once by :func:`repro.lowered.compile_lowered`
+(content-addressed, cached process-wide) and this engine only derives the
+word-domain kernels from them, so the hot loops of true-value simulation and
+fault simulation run as a handful of vectorized kernels per logic level
+instead of a Python loop (with dict lookups) per gate:
 
 * gates are grouped into *level kernels* keyed by ``(level, base op)`` where
   the base ops are AND, OR and XOR -- NAND/NOR/XNOR/NOT fold into a per-gate
   inversion mask and BUF is a 1-input AND.  Each kernel evaluates all of its
-  gates with one ``gather -> inject -> fold -> invert -> scatter`` sequence
-  over 64-pattern ``uint64`` words (:meth:`LevelKernel.evaluate`, shared by
+  gates with one ``gather -> fold -> invert -> scatter`` sequence over
+  64-pattern ``uint64`` words (:meth:`LevelKernel.evaluate`, shared by
   true-value and fault simulation); the fold combines the operands pin by
   pin with in-place binary ufunc calls, planned once per kernel,
-* transitive fan-out cone arrays are precomputed (and cached on the lowered
-  IR) per fault site, so fault simulation only re-evaluates the gates a fault
-  can influence,
-* faults are simulated **fault-parallel x pattern-parallel**: a group of
-  faults shares one wide value matrix in which every fault owns a contiguous
-  block of pattern words.  Fault effects are injected by forcing rows (stem
-  faults) or gathered operand slots (gate-input branch faults), and the union
-  of the group's fan-out cones selects the sub-kernels that are re-evaluated.
+* faults are simulated by **critical path tracing inside fanout-free
+  regions** (FFRs; Abramovici, Menon & Miller 1984).  A region is a tree of
+  nets read exactly once that ends at a *root*: a primary output, a net
+  without reader, or a net read by several pins.  A fault's effect can only
+  leave its region through the root, so a pattern detects the fault iff
+
+  - the fault is *activated* (a stem's good value differs from the stuck
+    value; a branch fault changes its gate's output, evaluated locally),
+  - the effect travels the region's single path to the root: every gate on
+    it has non-controlling side inputs (AND/NAND sides 1, OR/NOR sides 0;
+    XOR, XNOR, BUF and NOT always pass), and
+  - flipping the root is observed at some primary output.
+
+  The first two terms are *traced* on the fault-free values: one pass per
+  pattern batch computes every net's path words (:meth:`CompiledCircuit.
+  path_words`), exact because the side inputs of a region path never depend
+  on the fault (nothing reconverges before the root).  Only the third term is
+  *propagated explicitly*: one flip (``~good``) per distinct root runs
+  through the level kernels, **fault-parallel x pattern-parallel** — a group
+  of roots shares one wide value matrix in which every root owns a
+  contiguous block of pattern words, and the union of the group's fan-out
+  cones selects the sub-kernels that are re-evaluated.  The faulty outputs
+  follow from the same flips: ``good ^ (root-flip output diff & the fault's
+  activation-and-path words)``.
 
 The engine is exact: for every net and pattern it computes precisely the same
-values as the scalar reference simulator (:mod:`repro.simulation.eventsim`),
-which the test suite asserts on reference circuits and randomized netlists.
+values and detections as the scalar reference simulators
+(:mod:`repro.simulation.eventsim`, :mod:`repro.faultsim.serial`), which the
+test suite asserts on reference circuits and randomized netlists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +60,8 @@ from ..lowered import (
     OP_AND,
     OP_OR,
     OP_XOR,
+    FanoutFreeRegions,
+    FaultArrays,
     LevelGroup,
     LoweredCircuit,
     compile_lowered,
@@ -52,6 +71,7 @@ __all__ = [
     "CompiledCircuit",
     "LevelKernel",
     "compile_circuit",
+    "flip_group_size",
     "first_detection_indices",
     "popcount_words",
 ]
@@ -59,6 +79,19 @@ __all__ = [
 WORD_BITS = 64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ZERO = np.uint64(0)
+
+#: Target width (in 64-pattern words) of one fault-parallel value matrix;
+#: the adaptive group size packs this many columns regardless of batch size.
+_TARGET_COLUMNS = 4096
+
+#: Upper bound on the adaptive number of root flips per group.  Larger groups
+#: mean fewer kernel passes but a larger union fan-out cone per group (more
+#: gather traffic).  Measured on s2 (4,384 collapsed faults in 662 regions,
+#: 12,000 random patterns in 2,048-pattern batches, 2 vCPUs): 1 flip per
+#: group takes 3.9-4.0 s, 16 takes 0.46-0.54 s, 32 0.32-0.36 s, 64
+#: 0.29-0.35 s, 128 0.28-0.35 s and 256 0.32-0.33 s.  The curve is flat from
+#: 32 up, so the bound stays at 64.
+_MAX_ADAPTIVE_GROUP = 64
 
 _OP_UFUNC = {
     OP_AND: np.bitwise_and,
@@ -124,25 +157,17 @@ class LevelKernel:
     def n_gates(self) -> int:
         return int(self.gate_ids.size)
 
-    def evaluate(
-        self,
-        values: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-        inject: Sequence[Tuple[int, np.ndarray, slice, np.uint64]] = (),
-    ) -> None:
+    def evaluate(self, values: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
         """Evaluate the kernel's gates in place on a net-value matrix.
 
-        gather -> branch-fault inject -> fold -> invert -> scatter: the one
-        evaluation path of true-value and fault simulation.
+        gather -> fold -> invert -> scatter: the one evaluation path of
+        true-value simulation and root-flip propagation.
 
         Args:
             values: ``uint64`` matrix ``(n_nets, n_columns)``; the operands
                 are read from it and the gates' outputs written back.
             rows: optional ascending positions of the gates to evaluate
                 (``None`` = all).
-            inject: ``(gate position, pin offsets, column slice, stuck
-                word)`` branch faults, forced into the gathered operand
-                slots; each gate must be evaluated.
         """
         fanin, outputs, invert = self.fanin, self.outputs, self.invert
         pin_counts = self.pin_counts
@@ -155,10 +180,6 @@ class LevelKernel:
                 # kernel's counts equal its size; slicing clamps them.)
                 pin_counts = rows.searchsorted(pin_counts)
         ops = values.take(fanin, axis=0)
-        for slot, rel, col, stuck_word in inject:
-            if rows is not None:
-                slot = int(rows.searchsorted(slot))
-            ops[rel, slot, col] = stuck_word
         # Measured: binary ufuncs on row slices run 7-18x faster than one
         # segmented ufunc reduction over the same operands (a 2-input gate
         # over 2,048 words: 1.5 us vs 27.5 us); pin-major slices are
@@ -204,6 +225,23 @@ def first_detection_indices(detection: np.ndarray) -> np.ndarray:
     return np.where(has, word_idx * WORD_BITS + bits, -1)
 
 
+def flip_group_size(n_words: int, fault_group: Optional[int] = None) -> int:
+    """Root flips propagated together per value matrix.
+
+    ``fault_group`` fixes the count; ``None`` picks the adaptive size that
+    fills :data:`_TARGET_COLUMNS` pattern words, capped at
+    :data:`_MAX_ADAPTIVE_GROUP`.
+    """
+    if fault_group is not None:
+        return max(1, int(fault_group))
+    return max(1, min(_MAX_ADAPTIVE_GROUP, _TARGET_COLUMNS // max(1, n_words)))
+
+
+#: ``(rows, side nets, flip words)`` per pin position: the side inputs whose
+#: non-controlling value gates each row (see :meth:`CompiledCircuit._side_plan`).
+_SidePlan = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 class CompiledCircuit:
     """Word-domain engine over the shared :class:`LoweredCircuit` IR.
 
@@ -217,10 +255,6 @@ class CompiledCircuit:
         self.circuit = lowered.circuit
         self.kernels = [LevelKernel.from_group(group) for group in lowered.groups]
         self.gate_kernel = lowered.gate_group
-        # Position of each gate within its kernel (-1 for constants).
-        self.gate_slot = np.full(lowered.n_gates, -1, dtype=np.int64)
-        for kern in self.kernels:
-            self.gate_slot[kern.gate_ids] = np.arange(kern.n_gates)
         self.inputs = lowered.inputs
         self.outputs = lowered.outputs
         self.const0_nets = lowered.const0_nets
@@ -230,6 +264,7 @@ class CompiledCircuit:
         self.net_level = lowered.net_level
         self.n_nets = lowered.n_nets
         self.n_gates = lowered.n_gates
+        self._path_plan: Optional[Tuple[np.ndarray, _SidePlan]] = None
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -268,73 +303,223 @@ class CompiledCircuit:
         return values
 
     # ------------------------------------------------------------------ #
-    # Fan-out cones (delegated to the shared lowering, caches included)
+    # Fan-out structure (delegated to the shared lowering, caches included)
     # ------------------------------------------------------------------ #
     def cone_gates(self, net: int) -> np.ndarray:
         """Transitive fan-out gate indices of ``net`` (ascending = topological)."""
         return self.lowered.cone_gates(net)
 
-    def fault_cone(self, fault: Fault) -> np.ndarray:
-        """Gate indices to re-evaluate for ``fault`` (ascending order)."""
-        return self.lowered.fault_cone(fault)
+    @property
+    def ffr(self) -> FanoutFreeRegions:
+        """The circuit's fanout-free regions."""
+        return self.lowered.fanout_free_regions()
+
+    # ------------------------------------------------------------------ #
+    # Traced part: activation and region paths on the good values
+    # ------------------------------------------------------------------ #
+    def _side_plan(self, gates: np.ndarray, own: np.ndarray) -> _SidePlan:
+        """Side inputs of ``gates``: every fan-in pin not marked in ``own``.
+
+        AND/NAND sides must be 1 and OR/NOR sides 0 (flip word all-ones) for
+        a change on the own pins to pass; XOR/XNOR gates pass any change, and
+        BUF/NOT have no side input.
+        """
+        lowered = self.lowered
+        pins = lowered.fanin_padded[gates]
+        op = lowered.gate_op[gates]
+        side = (pins >= 0) & ~own & (op != OP_XOR)[:, None]
+        flip = np.where(op == OP_OR, _ALL_ONES, _ZERO)
+        plan: _SidePlan = []
+        for position in range(pins.shape[1]):
+            rows = np.flatnonzero(side[:, position])
+            if rows.size:
+                plan.append((rows, pins[rows, position], flip[rows, None]))
+        return plan
+
+    @staticmethod
+    def _side_words(good: np.ndarray, plan: _SidePlan, n_rows: int) -> np.ndarray:
+        """Per planned row, the patterns on which every side input is non-controlling."""
+        words = np.full((n_rows, good.shape[1]), _ALL_ONES, dtype=np.uint64)
+        for rows, nets, flip in plan:
+            words[rows] &= good[nets] ^ flip
+        return words
+
+    def path_words(self, good: np.ndarray) -> np.ndarray:
+        """Per net, the patterns on which flipping it flips its region root.
+
+        The path pass of critical path tracing: each net read exactly once
+        passes a change through its reader when the reader's side inputs are
+        non-controlling; the pointer-doubling rounds of
+        :attr:`FanoutFreeRegions.jumps` chain those steps up to the root.
+        Root rows are all-ones.
+
+        Args:
+            good: fault-free net values ``(n_nets, n_words)``.
+        """
+        if self._path_plan is None:
+            ffr = self.ffr
+            inner = np.flatnonzero(~ffr.is_root)
+            own = np.zeros((inner.size, self.lowered.fanin_padded.shape[1]), dtype=bool)
+            own[np.arange(inner.size), ffr.pin[inner]] = True
+            self._path_plan = (inner, self._side_plan(ffr.reader[inner], own))
+        inner, plan = self._path_plan
+        paths = np.full(good.shape, _ALL_ONES, dtype=np.uint64)
+        if inner.size:
+            paths[inner] = self._side_words(good, plan, inner.size)
+            for rows, targets in self.ffr.jumps:
+                paths[rows] &= paths[targets]
+        return paths
+
+    def branch_words(
+        self, good: np.ndarray, gates: np.ndarray, nets: np.ndarray
+    ) -> np.ndarray:
+        """Patterns on which forcing the pins of ``gates`` that read ``nets`` can flip the gate.
+
+        Evaluated locally on the good values: the side inputs must be
+        non-controlling, and an XOR/XNOR passes the change only when it reads
+        the net on an odd number of pins.  AND this with the activation
+        ``good[net] ^ stuck`` to get the gate's output difference.
+        """
+        own = self.lowered.fault_pins(gates, nets)
+        words = self._side_words(good, self._side_plan(gates, own), gates.size)
+        even = own.sum(axis=1) % 2 == 0
+        words[(self.lowered.gate_op[gates] == OP_XOR) & even] = _ZERO
+        return words
+
+    # ------------------------------------------------------------------ #
+    # Explicit part: root flips through the level kernels
+    # ------------------------------------------------------------------ #
+    def root_flip_diffs(
+        self, good: np.ndarray, roots: np.ndarray, fault_group: Optional[int] = None
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Propagate one flip per root, in level-ordered groups.
+
+        Args:
+            good: fault-free net values ``(n_nets, n_words)``.
+            roots: distinct root nets to flip.
+            fault_group: root flips per group (:func:`flip_group_size`).
+
+        Yields:
+            ``(positions, diff)`` per group: ``positions`` index ``roots``,
+            and ``diff`` is the ``(n_outputs, len(positions), n_words)``
+            primary-output difference caused by flipping each of those roots.
+        """
+        group_size = flip_group_size(good.shape[1], fault_group)
+        order = np.argsort(self.net_level[roots], kind="stable")
+        good_out = good[self.outputs][:, None, :]
+        for start in range(0, order.size, group_size):
+            positions = order[start : start + group_size]
+            yield positions, self._flip_group(good, roots[positions]) ^ good_out
+
+    def _flip_group(self, good: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """Primary-output values with each root flipped in its own word block."""
+        n_roots, n_words = roots.size, good.shape[1]
+        values = np.tile(good, (1, n_roots))
+        blocks = values.reshape(self.n_nets, n_roots, n_words)
+        flips = ~good[roots]
+        blocks[roots, np.arange(n_roots)] = flips
+        member = self.lowered.cone_member(roots)
+        # A root written from inside another root's cone is rewritten when its
+        # writer gate's kernel runs: force its flip again right after.
+        writer = self.net_writer_gate[roots]
+        reforce = np.flatnonzero(writer >= 0)
+        reforce = reforce[member[writer[reforce]]]
+        pending: Dict[int, List[int]] = {}
+        for position in reforce.tolist():
+            pending.setdefault(int(self.gate_kernel[writer[position]]), []).append(
+                position
+            )
+        for ki in np.unique(self.gate_kernel[member]).tolist():
+            kern = self.kernels[ki]
+            rows = np.flatnonzero(member[kern.gate_ids])
+            kern.evaluate(values, None if rows.size == kern.n_gates else rows)
+            again = pending.get(ki)
+            if again is not None:
+                blocks[roots[again], again] = flips[again]
+        return values[self.outputs].reshape(self.outputs.size, n_roots, n_words)
 
     # ------------------------------------------------------------------ #
     # Fault-parallel x pattern-parallel detection
     # ------------------------------------------------------------------ #
-    def _fault_values(
-        self, faults: Sequence[Fault], good: np.ndarray, n_words: int
-    ) -> np.ndarray:
-        """Net values with every fault of the group injected into its block.
+    def _traced(
+        self, faults: FaultArrays, good: np.ndarray, paths: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each fault's region root and the patterns on which it flips that root."""
+        site = faults.net.copy()
+        stuck = np.where(faults.stuck, _ALL_ONES, _ZERO)
+        words = good[faults.net] ^ stuck[:, None]
+        branch = np.flatnonzero(faults.gate >= 0)
+        if branch.size:
+            gates = faults.gate[branch]
+            site[branch] = self.gate_output[gates]
+            words[branch] &= self.branch_words(good, gates, faults.net[branch])
+        words &= paths[site]
+        return self.ffr.root[site], words
 
-        Returns the wide value matrix ``(n_nets, len(faults) * n_words)`` in
-        which fault ``fi`` owns the column block
-        ``[fi * n_words, (fi + 1) * n_words)``.
+    def detection_words(
+        self,
+        partitions: Sequence[FaultArrays],
+        good: np.ndarray,
+        valid_mask: Optional[np.ndarray] = None,
+        fault_group: Optional[int] = None,
+    ) -> List[np.ndarray]:
+        """Detection words of every fault partition against one pattern batch.
+
+        One path pass serves the whole batch, and every root that some
+        partition's faults reach is flipped once, in level-ordered groups
+        packed across partition boundaries.
+
+        Args:
+            partitions: the fault partitions to simulate.
+            good: fault-free net values ``(n_nets, n_words)`` from
+                :meth:`simulate_words`.
+            valid_mask: optional per-word mask of valid pattern bits.
+            fault_group: root flips per group (:func:`flip_group_size`).
+
+        Returns:
+            one ``uint64`` array ``(len(partition), n_words)`` per partition;
+            bit ``p % 64`` of word ``p // 64`` of row ``i`` is 1 iff pattern
+            ``p`` detects the partition's fault ``i``.
         """
-        n_faults = len(faults)
-        values = np.tile(good, (1, n_faults))
-        cols = [slice(fi * n_words, (fi + 1) * n_words) for fi in range(n_faults)]
-        stuck = [_ALL_ONES if f.stuck_value else _ZERO for f in faults]
+        if not partitions:
+            return []
+        paths = self.path_words(good)
+        traced = [self._traced(faults, good, paths) for faults in partitions]
+        if valid_mask is not None:
+            for _, words in traced:
+                words &= valid_mask[None, :]
+        needed = np.unique(
+            np.concatenate([roots[words.any(axis=1)] for roots, words in traced])
+        )
+        observed = np.zeros_like(good)
+        for positions, diff in self.root_flip_diffs(good, needed, fault_group):
+            observed[needed[positions]] = np.bitwise_or.reduce(diff, axis=0)
+        for roots, words in traced:
+            words &= observed[roots]
+        return [words for _, words in traced]
 
-        member = np.zeros(self.n_gates, dtype=bool)
-        # kernel index -> [(net, column slice, stuck word, writer gate)]
-        stem_reforce: Dict[int, List[Tuple[int, slice, np.uint64, int]]] = {}
-        # kernel index -> [(gate slot, pin offsets, column slice, stuck word)]
-        branch_inject: Dict[int, List[Tuple[int, np.ndarray, slice, np.uint64]]] = {}
+    def output_words(
+        self,
+        faults: FaultArrays,
+        good: np.ndarray,
+        fault_group: Optional[int] = None,
+    ) -> np.ndarray:
+        """Faulty primary-output words ``(n_outputs, len(faults), n_words)``.
 
-        for fi, fault in enumerate(faults):
-            cone = self.fault_cone(fault)
-            if cone.size:
-                member[cone] = True
-            if fault.is_stem:
-                values[fault.net, cols[fi]] = stuck[fi]
-                writer = int(self.net_writer_gate[fault.net])
-                if writer >= 0 and self.gate_kernel[writer] >= 0:
-                    stem_reforce.setdefault(
-                        int(self.gate_kernel[writer]), []
-                    ).append((fault.net, cols[fi], stuck[fi], writer))
-            else:
-                kernel_idx = int(self.gate_kernel[fault.gate])
-                rel = self.lowered.pin_offsets(fault.gate, fault.net)
-                branch_inject.setdefault(kernel_idx, []).append(
-                    (int(self.gate_slot[fault.gate]), rel, cols[fi], stuck[fi])
-                )
-
-        for ki, kern in enumerate(self.kernels):
-            rows = np.flatnonzero(member[kern.gate_ids])
-            if not rows.size:
-                continue
-            # A branch fault's gate is in its own cone, hence evaluated.
-            kern.evaluate(
-                values,
-                None if rows.size == kern.n_gates else rows,
-                branch_inject.get(ki, ()),
-            )
-            for net, col, stuck_word, writer in stem_reforce.get(ki, ()):
-                # Re-force the stem if this kernel rewrote the faulty net
-                # (its driver may sit inside another group member's cone).
-                if member[writer]:
-                    values[net, col] = stuck_word
-        return values
+        A fault flips the outputs exactly where it flips its root, so its
+        outputs are the good ones XOR the root flip's output difference on
+        those patterns.
+        """
+        roots, words = self._traced(faults, good, self.path_words(good))
+        good_out = good[self.outputs]
+        out = np.repeat(good_out[:, None, :], len(faults), axis=1)
+        carried = np.flatnonzero(words.any(axis=1))
+        needed, inverse = np.unique(roots[carried], return_inverse=True)
+        diffs = np.empty((good_out.shape[0], needed.size, good.shape[1]), np.uint64)
+        for positions, diff in self.root_flip_diffs(good, needed, fault_group):
+            diffs[:, positions] = diff
+        out[:, carried] ^= diffs[:, inverse] & words[carried][None]
+        return out
 
     def fault_batch_detection(
         self,
@@ -343,11 +528,10 @@ class CompiledCircuit:
         n_words: int,
         valid_mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Detection words for a group of faults against one pattern batch.
+        """Detection words for a list of faults against one pattern batch.
 
         Args:
-            faults: the faults simulated simultaneously (one column block of
-                ``n_words`` words each).
+            faults: the faults to simulate.
             good: fault-free net values ``(n_nets, n_words)`` from
                 :meth:`simulate_words`.
             n_words: number of 64-pattern words in the batch.
@@ -358,21 +542,10 @@ class CompiledCircuit:
             word ``p // 64`` of row ``i`` is 1 iff pattern ``p`` detects
             ``faults[i]``.
         """
-        n_faults = len(faults)
-        if n_faults == 0:
+        if len(faults) == 0:
             return np.zeros((0, n_words), dtype=np.uint64)
-        values = self._fault_values(faults, good, n_words)
-        if self.outputs.size == 0:
-            detection = np.zeros((n_faults, n_words), dtype=np.uint64)
-        else:
-            out_vals = values[self.outputs].reshape(
-                self.outputs.size, n_faults, n_words
-            )
-            diff = out_vals ^ good[self.outputs][:, None, :]
-            detection = np.bitwise_or.reduce(diff, axis=0)
-        if valid_mask is not None:
-            detection &= valid_mask[None, :]
-        return detection
+        (words,) = self.detection_words([FaultArrays.from_faults(faults)], good, valid_mask)
+        return words
 
     def fault_output_words(
         self, faults: Sequence[Fault], good: np.ndarray, n_words: int
@@ -383,7 +556,7 @@ class CompiledCircuit:
         signature register compacts during self test.
 
         Args:
-            faults: the faults simulated simultaneously.
+            faults: the faults to simulate.
             good: fault-free net values ``(n_nets, n_words)`` from
                 :meth:`simulate_words`.
             n_words: number of 64-pattern words in the batch.
@@ -393,11 +566,9 @@ class CompiledCircuit:
             ``(o, i)`` holds output ``o``'s values with ``faults[i]``
             injected.
         """
-        n_faults = len(faults)
-        if n_faults == 0:
+        if len(faults) == 0:
             return np.zeros((self.outputs.size, 0, n_words), dtype=np.uint64)
-        values = self._fault_values(faults, good, n_words)
-        return values[self.outputs].reshape(self.outputs.size, n_faults, n_words)
+        return self.output_words(FaultArrays.from_faults(faults), good)
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
