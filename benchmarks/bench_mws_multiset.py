@@ -53,7 +53,6 @@ if pytest is not None:
                 k=QUICK_K,
                 cluster_seed=SEED,
                 session_seed=SEED,
-                force=True,
             )
 
         weight_sets = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)

@@ -9,8 +9,8 @@ the pipeline:
   which calls :func:`execute_spec` on a fresh session;
 * the convenience layer (:class:`repro.pipeline.Session`) builds the spec
   from its kwargs and calls :func:`execute_spec` with *itself* as the
-  caching execution context, so repeated in-process runs reuse lowerings,
-  analyses, optimizations and coverage experiments;
+  execution context, so repeated in-process runs reuse its per-circuit
+  state: fault list, lowering, baseline analysis and optimization;
 * the job service (:mod:`repro.service`) executes cold submissions here and
   serves warm ones straight from the store.
 
@@ -20,9 +20,10 @@ first consults the plan's **report key** — a hit short-circuits the whole
 run: zero stages execute, zero circuits are lowered, and the artifact is
 the previously persisted report, bit-identical under
 :meth:`~repro.pipeline.session.PipelineReport.canonical_dict`.  On a cold
-run the expensive stages (optimization, each coverage experiment) consult
-their own stage keys before computing and persist what they did compute,
-so partially-warm stores still save work.  Either way the result is
+run each stored artifact (the optimization, both coverage legs, the weight
+sets and the multi-weight report) goes through one load-or-compute step
+that consults its stage key first and persists what it computed, so
+partially-warm stores still save work.  Either way the result is
 deterministic in the spec alone: every randomized stage seeds from
 ``spec.stage_seed(...)``, so a spec executed serially, in a pool worker, on
 another machine, or reassembled from store artifacts produces an identical
@@ -32,7 +33,8 @@ canonical dict.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Type, TypeVar
 
 import numpy as np
 
@@ -78,6 +80,36 @@ def _stage_done(on_stage: Optional[Callable[[str], None]], name: str) -> None:
         on_stage(name)
 
 
+_Artifact = TypeVar("_Artifact")
+
+
+def _load_or_compute(
+    store: Optional["ArtifactStore"],
+    key: str,
+    kind: Type[_Artifact],
+    compute: Callable[[], _Artifact],
+    on_stage: Optional[Callable[[str], None]],
+    stage: Optional[str],
+) -> _Artifact:
+    """The artifact of type ``kind`` stored under ``key``, or a fresh one.
+
+    A store hit counts a stage hit.  A miss calls ``compute()``, persists
+    the artifact under ``key`` and, when ``stage`` names one, counts a run
+    of that stage.
+    """
+    if store is not None:
+        cached = store.load(key)
+        if isinstance(cached, kind):
+            _STATS["stage_hits"] += 1
+            return cached
+    artifact = compute()
+    if store is not None:
+        store.put(key, artifact.to_dict())  # type: ignore[attr-defined]
+    if stage is not None:
+        _stage_done(on_stage, stage)
+    return artifact
+
+
 def execute_spec(
     spec: PipelineSpec,
     session: Optional["Session"] = None,
@@ -88,10 +120,10 @@ def execute_spec(
 
     Args:
         spec: the declarative job description.
-        session: optional caching execution context.  ``None`` builds a
-            fresh :class:`~repro.pipeline.Session` from the spec's configs
-            (the batch-worker path); passing an existing session reuses its
-            cached artifacts (the convenience-layer path — the session's
+        session: optional execution context.  ``None`` builds a fresh
+            :class:`~repro.pipeline.Session` from the spec's configs (the
+            batch-worker path); passing an existing session reuses its
+            per-circuit state (the convenience-layer path — the session's
             configs are expected to match the spec's, which
             :meth:`Session.spec` guarantees).
         store: optional content-addressed artifact store (anything
@@ -107,9 +139,10 @@ def execute_spec(
 
     store = open_store(store)
     plan = build_plan(spec)
+    keys = plan.store_keys()
 
     if store is not None:
-        cached = store.load(plan.report_key)
+        cached = store.load(keys["report"])
         if isinstance(cached, PipelineReport):
             return cached
 
@@ -130,37 +163,26 @@ def execute_spec(
     )
     _stage_done(on_stage, "analysis")
 
-    # Stage 2: optimization (store-cached; deterministic, so the entry is
-    # shared across specs that differ only in seed/label/fault-sim budget).
+    # Stage 2: optimization (deterministic, so the stored entry is shared
+    # across specs that differ only in seed/label/fault-sim budget).
     optimization = None
-    optimize_hit = False
     if spec.optimize is not None:
-        optimize_key = plan.stage("optimize").store_keys["result"]
-        if store is not None:
-            cached = store.load(optimize_key)
-            if isinstance(cached, OptimizationResult):
-                optimization = cached
-                optimize_hit = True
-                _STATS["stage_hits"] += 1
-        if optimization is None:
-            optimization = session.optimize(key, max_sweeps=spec.optimize.max_sweeps)
-            if store is not None:
-                store.put(optimize_key, optimization.to_dict())
-            _stage_done(on_stage, "optimize")
+        optimize = partial(session.optimize, key, max_sweeps=spec.optimize.max_sweeps)
+        optimization = _load_or_compute(
+            store, keys["optimize.result"], OptimizationResult, optimize, on_stage, "optimize"
+        )
 
-    # Stage 3: quantization (pure arithmetic on the optimization artifact).
+    # Stage 3: quantization (pure arithmetic on the optimization artifact,
+    # whose embedded grid is this spec's: the quantize config is part of the
+    # optimize key, and the session is configured from the spec).
     quantized = None
     if spec.quantize is not None:
         if spec.quantize.lfsr_resolution is not None:
             quantized = quantize_to_lfsr_grid(
                 optimization.weights, resolution=spec.quantize.lfsr_resolution
             )
-        elif optimize_hit:
-            # The stored artifact embeds the grid of exactly this spec's
-            # quantize config (it participates in the optimize stage key).
-            quantized = optimization.quantized_weights
         else:
-            quantized = session.quantized_weights(key, step=spec.quantize.step)
+            quantized = optimization.quantized_weights
         _stage_done(on_stage, "quantize")
 
     # Stage 4: fault-simulated validation (conventional, then optimized).
@@ -169,48 +191,34 @@ def execute_spec(
     optimized_experiment = None
     if spec.fault_sim is not None:
         config = spec.fault_sim
-        stage = plan.stage("fault_sim")
-        fault_sim_seed = stage.seed
-        conventional_experiment = _coverage_experiment(
-            store, stage.store_keys["conventional"]
+        simulate = partial(
+            session.fault_simulate,
+            key,
+            n_patterns,
+            seed=plan.stage("fault_sim").seed,
+            batch_size=config.batch_size,
+            target_coverage=config.target_coverage,
+            partition_size=config.partition_size,
         )
-        if conventional_experiment is None:
-            conventional_experiment = session.fault_simulate(
-                key,
-                n_patterns,
-                seed=fault_sim_seed,
-                batch_size=config.batch_size,
-                fault_group=config.fault_group,
-                target_coverage=config.target_coverage,
-                partition_size=config.partition_size,
-            )
-            if store is not None:
-                store.put(
-                    stage.store_keys["conventional"], conventional_experiment.to_dict()
-                )
-            _stage_done(on_stage, "fault_sim")
+        conventional_experiment = _load_or_compute(
+            store,
+            keys["fault_sim.conventional"],
+            CoverageExperiment,
+            simulate,
+            on_stage,
+            "fault_sim",
+        )
         if quantized is not None:
-            optimized_experiment = _coverage_experiment(
-                store, stage.store_keys["optimized"]
+            optimized_experiment = _load_or_compute(
+                store,
+                keys["fault_sim.optimized"],
+                CoverageExperiment,
+                partial(simulate, weights=quantized),
+                on_stage,
+                "fault_sim",
             )
-            if optimized_experiment is None:
-                optimized_experiment = session.fault_simulate(
-                    key,
-                    n_patterns,
-                    weights=quantized,
-                    seed=fault_sim_seed,
-                    batch_size=config.batch_size,
-                    fault_group=config.fault_group,
-                    target_coverage=config.target_coverage,
-                    partition_size=config.partition_size,
-                )
-                if store is not None:
-                    store.put(
-                        stage.store_keys["optimized"], optimized_experiment.to_dict()
-                    )
-                _stage_done(on_stage, "fault_sim")
 
-    # Stage 5: self test (BILBO / signature analysis).
+    # Stage 5: self test (BILBO / signature analysis; never stored alone).
     self_test_report = None
     if spec.self_test is not None:
         config = spec.self_test
@@ -237,38 +245,31 @@ def execute_spec(
         from ..wrp import MultiWeightReport, MultiWeightSet
 
         config = spec.multi_weight
-        stage = plan.stage("multi_weight")
-        if store is not None:
-            cached = store.load(stage.store_keys["result"])
-            if isinstance(cached, MultiWeightReport):
-                multi_weight_report = cached
-                _STATS["stage_hits"] += 1
-        if multi_weight_report is None:
-            weight_sets = None
-            if store is not None:
-                cached = store.load(stage.store_keys["weight_sets"])
-                if isinstance(cached, MultiWeightSet):
-                    weight_sets = cached
-                    _STATS["stage_hits"] += 1
-            if weight_sets is None:
-                weight_sets = session.build_weight_sets(
-                    key,
-                    k=config.k,
-                    budget=config.budget,
-                    cluster_seed=spec.stage_seed("cluster"),
-                    session_seed=stage.seed,
-                )
-                if store is not None:
-                    store.put(stage.store_keys["weight_sets"], weight_sets.to_dict())
-            multi_weight_report = session.multi_weight_self_test(
+        build = partial(
+            session.build_weight_sets,
+            key,
+            k=config.k,
+            budget=config.budget,
+            cluster_seed=spec.stage_seed("cluster"),
+            session_seed=plan.stage("multi_weight").seed,
+        )
+
+        def play() -> "MultiWeightReport":
+            # A stored weight set counts as a stage hit; building one is part
+            # of this stage's run, not a run of its own.
+            weight_sets = _load_or_compute(
+                store, keys["multi_weight.weight_sets"], MultiWeightSet, build, on_stage, None
+            )
+            return session.multi_weight_self_test(
                 key,
                 weight_sets=weight_sets,
                 scan_chains=config.scan_chains,
                 target_coverage=config.target_coverage,
             )
-            if store is not None:
-                store.put(stage.store_keys["result"], multi_weight_report.to_dict())
-            _stage_done(on_stage, "multi_weight")
+
+        multi_weight_report = _load_or_compute(
+            store, keys["multi_weight.result"], MultiWeightReport, play, on_stage, "multi_weight"
+        )
 
     report = PipelineReport(
         key=key,
@@ -283,16 +284,8 @@ def execute_spec(
         weights=None if optimization is None else optimization.weights,
         quantized_weights=quantized,
         n_patterns=n_patterns,
-        conventional_coverage=(
-            None
-            if conventional_experiment is None
-            else 100.0 * conventional_experiment.fault_coverage
-        ),
-        optimized_coverage=(
-            None
-            if optimized_experiment is None
-            else 100.0 * optimized_experiment.fault_coverage
-        ),
+        conventional_coverage=_percent(conventional_experiment),
+        optimized_coverage=_percent(optimized_experiment),
         optimization=optimization,
         conventional_experiment=conventional_experiment,
         optimized_experiment=optimized_experiment,
@@ -303,18 +296,9 @@ def execute_spec(
         seconds=time.perf_counter() - start,
     )
     if store is not None:
-        store.put(plan.report_key, report.to_dict())
+        store.put(keys["report"], report.to_dict())
     return report
 
 
-def _coverage_experiment(
-    store: Optional["ArtifactStore"], store_key: str
-) -> Optional[CoverageExperiment]:
-    """A stored coverage experiment, or ``None`` (counts a stage hit)."""
-    if store is None:
-        return None
-    cached = store.load(store_key)
-    if isinstance(cached, CoverageExperiment):
-        _STATS["stage_hits"] += 1
-        return cached
-    return None
+def _percent(experiment: Optional[CoverageExperiment]) -> Optional[float]:
+    return None if experiment is None else 100.0 * experiment.fault_coverage

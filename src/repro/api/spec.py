@@ -81,13 +81,18 @@ ESTIMATOR_NAMES = ("batched", "scalar")
 #: every spec hash and plan store key predating the removal is unchanged.
 _BACKEND_WIRE_FIELDS = {"backend": None, "allow_fallback": False}
 
+#: Wire field of the removed fault-simulation group size, which never changed
+#: a result: :class:`FaultSimConfig` writes ``None`` (so spec hashes and plan
+#: keys are unchanged) and ignores any size an older spec carries.
+_FAULT_SIM_WIRE_FIELDS = {**_BACKEND_WIRE_FIELDS, "fault_group": None}
+
 #: Backend names older specs may carry.  All backends were bit-identical by
 #: contract, so a spec naming any of them decodes to the one engine.
 _LEGACY_BACKEND_NAMES = (None, "numpy", "numba")
 
 
-def _check_legacy_backend_fields(kind: str, data: Mapping[str, Any]) -> None:
-    """Reject backend wire values no build ever wrote (they are ignored)."""
+def _check_legacy_wire_fields(kind: str, data: Mapping[str, Any]) -> None:
+    """Reject legacy wire values no build ever wrote (they are ignored)."""
     backend = data.get("backend")
     if backend not in _LEGACY_BACKEND_NAMES:
         raise SchemaError(
@@ -100,6 +105,12 @@ def _check_legacy_backend_fields(kind: str, data: Mapping[str, Any]) -> None:
             f"invalid {kind} payload: allow_fallback must be a bool, "
             f"got {allow_fallback!r}"
         )
+    fault_group = data.get("fault_group")
+    if fault_group is not None:
+        try:
+            _check_positive_int("fault_group", fault_group)
+        except ValueError as exc:
+            raise SchemaError(f"invalid {kind} payload: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #
@@ -147,7 +158,7 @@ class _ConfigBase:
 
     _kind: str = ""
     #: Wire-only fields written with these constant values and validated,
-    #: then ignored, on decode (see :data:`_BACKEND_WIRE_FIELDS`).
+    #: then ignored, on decode (see the ``_*_WIRE_FIELDS`` constants).
     _wire_constants: Mapping[str, Any] = {}
 
     def to_dict(self) -> Dict[str, Any]:
@@ -168,7 +179,7 @@ class _ConfigBase:
             data, cls._kind, required=(), optional=names + list(cls._wire_constants)
         )
         if cls._wire_constants:
-            _check_legacy_backend_fields(cls._kind, data)
+            _check_legacy_wire_fields(cls._kind, data)
         kwargs = {}
         for spec_field in fields(cls):  # type: ignore[arg-type]
             if data.get(spec_field.name) is None and spec_field.name not in data:
@@ -305,9 +316,6 @@ class FaultSimConfig(_ConfigBase):
             is set).  ``None`` falls back to the circuit's paper budget when
             the spec references a registry circuit, else 4000.
         batch_size: bit-parallel batch size.
-        fault_group: fanout-free-region root flips propagated together per
-            group by the fault simulator (``None`` = adaptive).  Detection
-            results are invariant under this choice.
         target_coverage: optional coverage fraction at which to stop early.
         partition_size: PPSFP fault partition size (``None`` = one partition
             spanning all active faults).  Detection results are invariant
@@ -315,11 +323,10 @@ class FaultSimConfig(_ConfigBase):
     """
 
     _kind = "fault_sim_config"
-    _wire_constants = _BACKEND_WIRE_FIELDS
+    _wire_constants = _FAULT_SIM_WIRE_FIELDS
 
     n_patterns: Optional[int] = None
     batch_size: int = 2048
-    fault_group: Optional[int] = None
     target_coverage: Optional[float] = None
     partition_size: Optional[int] = None
 
@@ -327,8 +334,6 @@ class FaultSimConfig(_ConfigBase):
         if self.n_patterns is not None:
             _check_positive_int("n_patterns", self.n_patterns)
         _check_positive_int("batch_size", self.batch_size)
-        if self.fault_group is not None:
-            _check_positive_int("fault_group", self.fault_group)
         if self.target_coverage is not None:
             _check_fraction("target_coverage", self.target_coverage, open_interval=False)
         if self.partition_size is not None:

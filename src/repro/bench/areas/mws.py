@@ -62,7 +62,6 @@ def run_bench(quick: bool = False, repeats: int = 3) -> BenchResult:
             k=k,
             cluster_seed=SEED,
             session_seed=SEED,
-            force=True,
         ),
     )
     weight_sets = build.value

@@ -98,7 +98,6 @@ def random_pattern_coverage(
     faults: Optional[Sequence[Fault]] = None,
     seed: int = 1987,
     batch_size: int = 2048,
-    fault_group: Optional[int] = None,
     chunk_size: int = 4096,
     target_coverage: Optional[float] = None,
     partition_size: Optional[int] = None,
@@ -118,8 +117,6 @@ def random_pattern_coverage(
         faults: fault list; defaults to the collapsed stuck-at list.
         seed: RNG seed (kept fixed so tables are reproducible).
         batch_size: bit-parallel batch size.
-        fault_group: fanout-free-region root flips propagated together per
-            group (``None`` = adaptive, see :class:`ParallelFaultSimulator`).
         chunk_size: patterns generated (and held in memory) per stream chunk.
         target_coverage: optional fault-coverage fraction at which to stop
             the stream early; the returned experiment's ``n_patterns`` then
@@ -131,12 +128,7 @@ def random_pattern_coverage(
     if weights is None:
         weights = [0.5] * circuit.n_inputs
     generator = WeightedPatternGenerator(weights, seed=seed)
-    simulator = ParallelFaultSimulator(
-        circuit,
-        faults,
-        fault_group=fault_group,
-        partition_size=partition_size,
-    )
+    simulator = ParallelFaultSimulator(circuit, faults, partition_size=partition_size)
     result = simulator.run_stream(
         generator.generate_stream(n_patterns, chunk=chunk_size),
         batch_size=batch_size,

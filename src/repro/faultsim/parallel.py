@@ -259,8 +259,11 @@ class ParallelFaultSimulator:
         circuit: circuit under test.
         faults: fault list; defaults to the collapsed stuck-at list.
         fault_group: number of fanout-free-region root flips propagated
-            together per group; ``None`` picks the adaptive size
-            (:func:`~repro.simulation.compiled.flip_group_size`).
+            together per group; ``None``, the only size the pipeline uses,
+            picks the adaptive one
+            (:func:`~repro.simulation.compiled.flip_group_size`).  Detection
+            results never depend on it; tests fix it to put group
+            boundaries where they want them.
         partition_size: PPSFP-style fault partition size for
             :meth:`run_stream` — the active fault set is processed in
             partitions of at most this many faults, and detected faults are

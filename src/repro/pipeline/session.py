@@ -11,8 +11,8 @@ that pipeline lives in :class:`repro.api.spec.PipelineSpec` and the
 execution in :func:`repro.api.executor.execute_spec`; :class:`Session` is
 the in-process **convenience layer**: it keeps the loose-kwargs constructor,
 builds the equivalent spec (:meth:`Session.spec`) and delegates
-:meth:`Session.run` to the executor, while caching the expensive
-intermediates across stages and runs:
+:meth:`Session.run` to the executor, while keeping the per-circuit state
+every stage and run shares:
 
 * the **lowered-circuit IR** (:mod:`repro.lowered`) is compiled exactly once
   per circuit and consumed by every stage (the analysis engine, the
@@ -22,9 +22,12 @@ intermediates across stages and runs:
   the reuse,
 * the **fault list** (collapsed, redundancy-filtered by default) is built
   once per circuit,
-* the **baseline analysis** and the **optimization result** are cached, so
+* the **baseline analysis** and the **optimization result** are kept, so
   e.g. test-length, coverage and CPU-time reporting all use the same run —
   exactly as one PROTEST run feeds all of the paper's optimized-test numbers.
+
+Nothing else is cached here; ``Session(store=MemoryStore())`` caches
+repeated runs and their stored stages.
 
 Seed semantics: the session's ``seed`` is a *root* seed.  Randomized stages
 derive per-stage, per-circuit working seeds from it via
@@ -80,11 +83,6 @@ from ..wrp import MultiWeightReport, MultiWeightSet, run_multi_weight_session
 from ..wrp import build_weight_sets as _build_weight_sets
 
 __all__ = ["Session", "PipelineReport"]
-
-#: Cached BIST sessions kept per circuit (LRU).  Each session pins its
-#: pattern matrix and fault-free net values, so the cache is bounded — unlike
-#: coverage experiments, which only hold detection indices.
-_SELFTEST_CACHE_LIMIT = 8
 
 #: Artifact keys that describe the machine the report was produced on, not
 #: the mathematical result; :meth:`PipelineReport.canonical_dict` drops them
@@ -365,9 +363,6 @@ class _Entry:
     lowerings: int = 0
     baseline_probs: Optional[np.ndarray] = None
     optimization: Optional[OptimizationResult] = None
-    coverage_cache: Dict[Tuple, CoverageExperiment] = field(default_factory=dict)
-    selftest_cache: Dict[Tuple, SelfTestSession] = field(default_factory=dict)
-    multi_weight_cache: Dict[Tuple, MultiWeightSet] = field(default_factory=dict)
 
 
 class Session:
@@ -376,8 +371,8 @@ class Session:
     The declarative face of the pipeline is :class:`repro.api.PipelineSpec`;
     a session translates its loose constructor kwargs into the typed stage
     configs, hands out the equivalent spec via :meth:`spec`, and delegates
-    :meth:`run` to :func:`repro.api.execute_spec` — while caching fault
-    lists, lowerings, baseline analyses, optimizations and coverage runs
+    :meth:`run` to :func:`repro.api.execute_spec` — while keeping each
+    circuit's fault list, lowering, baseline analysis and optimization
     across stages and repeated runs.
 
     Args:
@@ -406,6 +401,7 @@ class Session:
             ``worker_ref`` dict).  :meth:`run` consults it before executing
             and persists its reports into it, so repeated runs of one spec
             across sessions, processes or machines cost one store read.
+            It needs an estimator a spec can name (``ValueError``).
     """
 
     def __init__(
@@ -437,6 +433,10 @@ class Session:
         from ..store import open_store
 
         self.store = open_store(store)
+        if self.store is not None:
+            # An unnamed estimator would write its results under the keys of
+            # the "batched" spec that run() records instead.
+            self._estimator_name()
         self._entries: Dict[str, _Entry] = {}
 
     # ------------------------------------------------------------------ #
@@ -490,26 +490,9 @@ class Session:
             return "batched"
         raise ValueError(
             f"estimator {type(self.estimator).__name__} has no spec name; "
-            "a PipelineSpec can only reference the 'batched' or 'scalar' "
-            "COP estimators"
+            "a PipelineSpec, and so a store that keeps results under spec "
+            "keys, can only reference the 'batched' or 'scalar' COP estimators"
         )
-
-    def analysis_config(self, strict: bool = True) -> AnalysisConfig:
-        return AnalysisConfig(
-            confidence=self.confidence,
-            drop_redundant=self.drop_redundant,
-            estimator=self._estimator_name(strict=strict),
-        )
-
-    def optimize_config(self) -> OptimizeConfig:
-        return OptimizeConfig(
-            max_sweeps=self.max_sweeps,
-            alpha=self.alpha,
-            bounds=(float(self.bounds[0]), float(self.bounds[1])),
-        )
-
-    def quantize_config(self) -> QuantizeConfig:
-        return QuantizeConfig(step=self.quantization_step)
 
     def spec(
         self,
@@ -547,13 +530,18 @@ class Session:
             circuit=circuit,
             key=key,
             seed=self.seed,
-            analysis=self.analysis_config(strict=strict),
-            optimize=self.optimize_config(),
-            quantize=self.quantize_config(),
-            fault_sim=FaultSimConfig(
-                n_patterns=n_patterns,
-                partition_size=self.partition_size,
+            analysis=AnalysisConfig(
+                confidence=self.confidence,
+                drop_redundant=self.drop_redundant,
+                estimator=self._estimator_name(strict=strict),
             ),
+            optimize=OptimizeConfig(
+                max_sweeps=self.max_sweeps,
+                alpha=self.alpha,
+                bounds=(float(self.bounds[0]), float(self.bounds[1])),
+            ),
+            quantize=QuantizeConfig(step=self.quantization_step),
+            fault_sim=FaultSimConfig(n_patterns=n_patterns, partition_size=self.partition_size),
             self_test=self_test,
             multi_weight=multi_weight,
         )
@@ -747,59 +735,35 @@ class Session:
         weights: Optional[Sequence[float]] = None,
         seed: Optional[int] = None,
         batch_size: int = 2048,
-        fault_group: Optional[int] = None,
         target_coverage: Optional[float] = None,
         partition_size: Optional[int] = None,
     ) -> CoverageExperiment:
-        """Fault-simulate ``n_patterns`` (weighted) random patterns (cached).
+        """Fault-simulate ``n_patterns`` (weighted) random patterns.
 
         ``weights=None`` is the conventional equiprobable test.  ``seed=None``
         uses the per-stage, per-circuit seed derived from the session's root
         seed (``derive_seed(root, "fault_sim", key)``) — reproducible, and
-        uncorrelated with every other stage and circuit.  Results are cached
-        per ``(n_patterns, weights, seed, target_coverage)`` so a report
-        regenerated twice does not repeat the simulation; the underlying
-        compiled engine is shared with every other stage through the lowered
-        IR.  Patterns are streamed chunkwise (never materialized as one
-        matrix); ``target_coverage`` stops the stream early once that
-        coverage fraction is reached.  ``partition_size`` defaults to the
+        uncorrelated with every other stage and circuit.  The compiled
+        engine is shared with every other stage through the lowered IR.
+        Patterns are streamed chunkwise (never materialized as one matrix);
+        ``target_coverage`` stops the stream early once that coverage
+        fraction is reached.  ``partition_size`` defaults to the
         session-level setting; detection results are bit-identical across
         partitionings (only the attached
-        :class:`~repro.faultsim.FaultSimStats` differ), but the cache still
-        keys on it so the stats stay faithful.  ``fault_group`` is the
-        number of fanout-free-region root flips propagated together per
-        group (``None`` = adaptive); it never changes detection results.
+        :class:`~repro.faultsim.FaultSimStats` differ).
         """
         entry = self._entry(key)
         self.lowered(key)
-        seed = self.stage_seed("fault_sim", key) if seed is None else seed
-        if partition_size is None:
-            partition_size = self.partition_size
-        weight_key = None if weights is None else tuple(float(w) for w in weights)
-        cache_key = (
-            int(n_patterns),
-            weight_key,
-            int(seed),
-            int(batch_size),
-            fault_group,
-            target_coverage,
-            partition_size,
+        return random_pattern_coverage(
+            entry.circuit,
+            n_patterns,
+            weights=weights,
+            faults=entry.faults,
+            seed=self.stage_seed("fault_sim", key) if seed is None else seed,
+            batch_size=batch_size,
+            target_coverage=target_coverage,
+            partition_size=self.partition_size if partition_size is None else partition_size,
         )
-        cached = entry.coverage_cache.get(cache_key)
-        if cached is None:
-            cached = random_pattern_coverage(
-                entry.circuit,
-                n_patterns,
-                weights=weights,
-                faults=entry.faults,
-                seed=seed,
-                batch_size=batch_size,
-                fault_group=fault_group,
-                target_coverage=target_coverage,
-                partition_size=partition_size,
-            )
-            entry.coverage_cache[cache_key] = cached
-        return cached
 
     def stage_seed(self, stage: str, key: str) -> int:
         """The derived working seed of one stage for one circuit."""
@@ -818,45 +782,27 @@ class Session:
         misr_taps: Optional[Sequence[int]] = None,
         seed: Optional[int] = None,
     ) -> SelfTestSession:
-        """The (cached) BIST session for a registered circuit.
+        """A new BIST session for a registered circuit.
 
         The session runs on the compiled BIST substrate
         (:mod:`repro.patterns.compiled`) and on the same lowered IR as every
         other stage; its pattern matrix, fault-free responses and golden
         signature are computed once and shared by every
-        :meth:`self_test` call with the same parameters.  ``seed=None`` uses
-        the derived ``derive_seed(root, "self_test", key)`` stage seed.
+        :meth:`~repro.patterns.bilbo.SelfTestSession.run` on it — keep the
+        returned session to inject many faults.  ``seed=None`` uses the
+        derived ``derive_seed(root, "self_test", key)`` stage seed.
         """
         entry = self._entry(key)
         self.lowered(key)
-        seed = self.stage_seed("self_test", key) if seed is None else seed
-        weight_key = None if weights is None else tuple(float(w) for w in weights)
-        taps_key = None if misr_taps is None else tuple(misr_taps)
-        cache_key = (
-            int(n_patterns),
-            weight_key,
-            bool(use_lfsr),
-            misr_width,
-            taps_key,
-            int(seed),
+        return SelfTestSession(
+            entry.circuit,
+            n_patterns,
+            weights=weights,
+            use_lfsr=use_lfsr,
+            misr_width=misr_width,
+            misr_taps=misr_taps,
+            seed=self.stage_seed("self_test", key) if seed is None else seed,
         )
-        session = entry.selftest_cache.pop(cache_key, None)
-        if session is None:
-            session = SelfTestSession(
-                entry.circuit,
-                n_patterns,
-                weights=weights,
-                use_lfsr=use_lfsr,
-                misr_width=misr_width,
-                misr_taps=misr_taps,
-                seed=seed,
-            )
-        # (Re-)insert as most recently used; a session pins its pattern and
-        # fault-free value matrices, so the cache is LRU-bounded.
-        entry.selftest_cache[cache_key] = session
-        while len(entry.selftest_cache) > _SELFTEST_CACHE_LIMIT:
-            entry.selftest_cache.pop(next(iter(entry.selftest_cache)))
-        return session
 
     def self_test(
         self,
@@ -872,9 +818,8 @@ class Session:
         """Run a (weighted) self test, optionally with a fault injected.
 
         ``weights`` would typically be :meth:`quantized_weights` mapped onto
-        the LFSR grid — the paper's section 5.2 flow.  Repeated calls with
-        different ``fault`` arguments reuse the cached session (patterns,
-        fault-free simulation and golden signature are computed once).
+        the LFSR grid — the paper's section 5.2 flow.  Each call builds a new
+        session; inject many faults through one :meth:`self_test_session`.
         Circuits with more primary outputs than the largest tabulated MISR
         width need an explicit ``misr_width`` plus ``misr_taps``.
         """
@@ -899,7 +844,6 @@ class Session:
         budget: Optional[int] = None,
         cluster_seed: Optional[int] = None,
         session_seed: Optional[int] = None,
-        force: bool = False,
     ) -> MultiWeightSet:
         """Cluster the fault list and optimize one weight set per cluster.
 
@@ -908,7 +852,6 @@ class Session:
         the baseline, so the expensive base optimization is never repeated.
         ``cluster_seed``/``session_seed`` default to the derived
         ``derive_seed(root, "cluster"/"multi_weight", key)`` stage seeds.
-        Results are cached per ``(k, budget, cluster_seed, session_seed)``.
         """
         entry = self._entry(key)
         self.lowered(key)
@@ -916,11 +859,7 @@ class Session:
             cluster_seed = self.stage_seed("cluster", key)
         if session_seed is None:
             session_seed = self.stage_seed("multi_weight", key)
-        cache_key = (int(k), budget, int(cluster_seed), int(session_seed))
-        cached = entry.multi_weight_cache.get(cache_key)
-        if cached is not None and not force:
-            return cached
-        weight_sets = _build_weight_sets(
+        return _build_weight_sets(
             entry.circuit,
             faults=entry.faults,
             k=k,
@@ -935,39 +874,25 @@ class Session:
             budget=budget,
             base_result=self.optimize(key),
         )
-        entry.multi_weight_cache[cache_key] = weight_sets
-        return weight_sets
 
     def multi_weight_self_test(
         self,
         key: str,
-        k: int = 4,
-        weight_sets: Optional[MultiWeightSet] = None,
-        budget: Optional[int] = None,
+        weight_sets: MultiWeightSet,
         scan_chains: Optional[int] = None,
         target_coverage: Optional[float] = None,
         misr_width: Optional[int] = None,
         misr_taps: Optional[Sequence[int]] = None,
-        cluster_seed: Optional[int] = None,
-        session_seed: Optional[int] = None,
     ) -> MultiWeightReport:
         """Run the multi-weight-set BIST stage for a registered circuit.
 
-        Builds (or reuses) the :class:`~repro.wrp.MultiWeightSet` schedule,
-        plays it through the compiled multi-set session and fault-simulates
-        the scheduled stream with the session's partition size — the
-        in-process face of the spec's ``multi_weight`` stage.
+        Plays the :meth:`build_weight_sets` schedule through the compiled
+        multi-set session and fault-simulates the scheduled stream with the
+        session's partition size — the in-process face of the spec's
+        ``multi_weight`` stage.
         """
         entry = self._entry(key)
         self.lowered(key)
-        if weight_sets is None:
-            weight_sets = self.build_weight_sets(
-                key,
-                k=k,
-                budget=budget,
-                cluster_seed=cluster_seed,
-                session_seed=session_seed,
-            )
         return run_multi_weight_session(
             entry.circuit,
             weight_sets,
@@ -993,7 +918,7 @@ class Session:
 
         Builds the declarative :meth:`spec` for the circuit and delegates to
         :func:`repro.api.executor.execute_spec` with this session as the
-        (caching) execution context — the convenience-layer contract.
+        execution context — the convenience-layer contract.
 
         Args:
             key: a single registered circuit, or ``None`` to run the pipeline

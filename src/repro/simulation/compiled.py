@@ -228,9 +228,10 @@ def first_detection_indices(detection: np.ndarray) -> np.ndarray:
 def flip_group_size(n_words: int, fault_group: Optional[int] = None) -> int:
     """Root flips propagated together per value matrix.
 
-    ``fault_group`` fixes the count; ``None`` picks the adaptive size that
-    fills :data:`_TARGET_COLUMNS` pattern words, capped at
-    :data:`_MAX_ADAPTIVE_GROUP`.
+    ``None`` (what the pipeline uses) picks the adaptive size that fills
+    :data:`_TARGET_COLUMNS` pattern words, capped at
+    :data:`_MAX_ADAPTIVE_GROUP`.  A ``fault_group`` count fixes the size,
+    so tests can place group boundaries; results never depend on it.
     """
     if fault_group is not None:
         return max(1, int(fault_group))

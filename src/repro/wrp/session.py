@@ -325,7 +325,6 @@ class MultiSetSelfTestSession:
         faults: Optional[Sequence[Fault]] = None,
         target_coverage: Optional[float] = None,
         partition_size: Optional[int] = None,
-        fault_group: Optional[int] = None,
         batch_size: int = 2048,
         chunk: int = 4096,
     ) -> MultiSetCoverage:
@@ -339,10 +338,7 @@ class MultiSetSelfTestSession:
         :attr:`MultiSetCoverage.applied`.
         """
         simulator = ParallelFaultSimulator(
-            self.circuit,
-            faults=faults,
-            fault_group=fault_group,
-            partition_size=partition_size,
+            self.circuit, faults=faults, partition_size=partition_size
         )
         applied = [0] * self.n_sets
 

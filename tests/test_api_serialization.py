@@ -52,7 +52,7 @@ ALL_CONFIGS = [
     QuantizeConfig(),
     QuantizeConfig(step=0.1, lfsr_resolution=5),
     FaultSimConfig(),
-    FaultSimConfig(n_patterns=512, batch_size=128, fault_group=4, target_coverage=0.9),
+    FaultSimConfig(n_patterns=512, batch_size=128, target_coverage=0.9),
     SelfTestConfig(),
     SelfTestConfig(
         n_patterns=64,
@@ -86,6 +86,24 @@ class TestConfigRoundTrips:
         data["definitely_not_a_field"] = 1
         with pytest.raises(SchemaError, match="unknown fields"):
             type(config).from_dict(data)
+
+    def test_legacy_fault_group_decodes_and_reencodes_to_null(self):
+        config = FaultSimConfig(n_patterns=512, batch_size=128, target_coverage=0.9)
+        legacy = {**config.to_dict(), "fault_group": 4}
+        restored = FaultSimConfig.from_dict(json_roundtrip(legacy))
+        assert restored == config
+        assert restored.to_dict()["fault_group"] is None
+        assert restored.to_dict() == config.to_dict()
+        spec = PipelineSpec(circuit="c432", fault_sim=config)
+        wire = spec.to_dict()
+        wire["fault_sim"] = legacy
+        assert PipelineSpec.from_dict(json_roundtrip(wire)).spec_hash() == spec.spec_hash()
+
+    @pytest.mark.parametrize("fault_group", [0, "4", True])
+    def test_invalid_legacy_fault_group_rejected(self, fault_group):
+        payload = {**FaultSimConfig().to_dict(), "fault_group": fault_group}
+        with pytest.raises(SchemaError, match="fault_group"):
+            FaultSimConfig.from_dict(payload)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(SchemaError, match="kind"):
