@@ -41,6 +41,7 @@ import numpy as np
 from ..core.optimizer import OptimizationResult
 from ..core.quantize import quantize_to_lfsr_grid
 from ..faultsim.coverage import CoverageExperiment
+from ..patterns.misr import resolve_misr
 from .plan import DEFAULT_N_PATTERNS, build_plan, resolve_n_patterns
 from .spec import PipelineSpec
 
@@ -153,8 +154,14 @@ def execute_spec(
     start = time.perf_counter()
     if not session.has(key):
         session.add(spec.build_circuit(), key=key)
-    session.lowered(key)
     circuit = session.circuit(key)
+    # A signature register that cannot compact the outputs fails the job
+    # before any stage runs (the multi-weight playback uses the default one).
+    if spec.self_test is not None:
+        resolve_misr(circuit.n_outputs, spec.self_test.misr_width, spec.self_test.misr_taps)
+    if spec.multi_weight is not None:
+        resolve_misr(circuit.n_outputs)
+    session.lowered(key)
     faults = session.faults(key)
 
     # Stage 1: analysis (always on).

@@ -245,8 +245,8 @@ def build_plan(spec: PipelineSpec) -> ExecutionPlan:
         # config (estimator/confidence), the weight provenance (optimize +
         # quantize configs), the multi-weight config and the two derived
         # seeds (clustering, per-set LFSR reseeds).  The report additionally
-        # reflects the session's coverage run, whose knobs all live in the
-        # same config — so both keys share one dependency dict.
+        # reflects the session's coverage run and its partition size, which
+        # the serialized fault-sim stats record.
         session_seed = spec.stage_seed("multi_weight")
         multi_deps = {
             "stage": "multi_weight",
@@ -264,7 +264,10 @@ def build_plan(spec: PipelineSpec) -> ExecutionPlan:
                 seed=session_seed,
                 store_keys={
                     "weight_sets": _stage_key("stage_multi_weight", multi_deps),
-                    "result": _stage_key("stage_multi_weight_report", multi_deps),
+                    "result": _stage_key(
+                        "stage_multi_weight_report",
+                        {**multi_deps, "partition_size": spec.partition_size},
+                    ),
                 },
             )
         )

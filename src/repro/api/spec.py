@@ -542,6 +542,17 @@ class PipelineSpec:
         """The derived seed of one stage of this job (see :func:`derive_seed`)."""
         return derive_seed(self.seed, stage, self.label)
 
+    @property
+    def partition_size(self) -> Optional[int]:
+        """The PPSFP partition size of every fault-simulating run of the job.
+
+        The fault-sim stage's value when that stage is declared; otherwise
+        (e.g. for the multi-weight coverage run) the analysis stage's.
+        """
+        if self.fault_sim is not None:
+            return self.fault_sim.partition_size
+        return self.analysis.partition_size
+
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable spec dict (validated exact round trip)."""

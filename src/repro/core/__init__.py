@@ -3,7 +3,7 @@
 * :mod:`repro.core.objective` — the objective function ``J_N(X)`` and the
   confidence / test-length relationship (formulas (1), (8)-(10)).
 * :mod:`repro.core.testlength` — SORT and NORMALIZE (required test length and
-  the hard-fault subset).
+  the hard-fault subset), and the joint schedule of several weight sets.
 * :mod:`repro.core.minimize` — per-coordinate Newton minimization (formula (15)).
 * :mod:`repro.core.optimizer` — the full OPTIMIZE coordinate-descent procedure.
 * :mod:`repro.core.quantize` — snapping weights to realisable grids.
@@ -18,7 +18,14 @@ from .objective import (
     objective_value,
     test_confidence,
 )
-from .testlength import MAX_TEST_LENGTH, NormalizeResult, normalize, required_test_length, sort_faults
+from .testlength import (
+    MAX_TEST_LENGTH,
+    NormalizeResult,
+    joint_schedule,
+    normalize,
+    required_test_length,
+    sort_faults,
+)
 from .minimize import MinimizeResult, coordinate_objective, minimize_coordinate
 from .optimizer import OptimizationResult, WeightOptimizer, optimize_input_probabilities
 from .quantize import quantization_error, quantize_to_lfsr_grid, quantize_weights
@@ -36,6 +43,7 @@ __all__ = [
     "normalize",
     "required_test_length",
     "sort_faults",
+    "joint_schedule",
     "MinimizeResult",
     "minimize_coordinate",
     "coordinate_objective",

@@ -15,9 +15,11 @@ extension:
    input, does raising the input probability help or hurt the fault?  Faults
    with opposing signatures are exactly the conflicting pairs of section 5.3,
 4. optimize one dedicated distribution per group,
-5. assign every fault to the session that detects it best and compute the
-   per-session test lengths; the overall test applies the sessions back to
-   back.
+5. assign every fault to the session that detects it best, drop sessions
+   that no fault chose, and size the rest *jointly*
+   (:func:`~repro.core.testlength.joint_schedule`): the overall test applies
+   the sessions back to back, so every session's patterns count against
+   every fault, and the total meets the confidence as a whole.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ..circuit.netlist import Circuit
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault
 from .optimizer import OptimizationResult, WeightOptimizer
-from .testlength import normalize, sort_faults
+from .testlength import joint_schedule, normalize, sort_faults
 
 __all__ = ["WeightSession", "PartitionedResult", "optimize_partitioned"]
 
@@ -138,8 +140,8 @@ def optimize_partitioned(
         circuit: circuit under test.
         faults: fault list (defaults to the collapsed stuck-at list).
         estimator: detection probability estimator shared by all sessions.
-        confidence: required confidence per session (keeping every session at
-            the overall target makes the combined test conservative).
+        confidence: required probability that the whole multi-session test
+            detects every fault.
         max_sessions: maximum number of weight sets.
         min_hard_faults: how many of the hardest faults (under the single
             optimized distribution) are considered for partitioning at least.
@@ -204,27 +206,32 @@ def optimize_partitioned(
     prob_matrix = np.vstack(per_session_probs)  # (n_sessions, n_faults)
     assignment = np.argmax(prob_matrix, axis=0)
 
-    sessions: List[WeightSession] = []
-    for session_index, result in enumerate(session_results):
-        member_indices = np.nonzero(assignment == session_index)[0]
-        members = [all_faults[i] for i in member_indices]
-        if not members:
-            continue
-        member_probs = prob_matrix[session_index, member_indices]
+    # Each kept session warm-starts from its members' own requirement; the
+    # joint schedule then counts every session's patterns against every
+    # fault (faults no session detects are redundant under all of them).
+    kept = [s for s in range(len(session_results)) if np.any(assignment == s)]
+    start_lengths = []
+    for session_index in kept:
+        member_probs = prob_matrix[session_index, assignment == session_index]
         positive = np.sort(member_probs[member_probs > 0.0])
-        length = normalize(positive, confidence).test_length if positive.size else 1
-        sessions.append(
-            WeightSession(
-                weights=result.weights,
-                test_length=length,
-                target_faults=members,
-                optimization=result,
-            )
+        start_lengths.append(normalize(positive, confidence).test_length)
+    detectable = prob_matrix.max(axis=0) > 0.0
+    lengths = joint_schedule(
+        prob_matrix[kept][:, detectable], confidence, start_lengths
+    )
+    sessions = [
+        WeightSession(
+            weights=session_results[s].weights,
+            test_length=length,
+            target_faults=[all_faults[i] for i in np.nonzero(assignment == s)[0]],
+            optimization=session_results[s],
         )
+        for s, length in zip(kept, lengths)
+    ]
 
     # Fall back to the single distribution if partitioning did not help.
-    total = int(sum(s.test_length for s in sessions)) if sessions else single.test_length
-    if not sessions or total >= single.test_length:
+    total = int(sum(lengths))
+    if total >= single.test_length:
         sessions = [_session_for(single.weights, single)]
         total = single.test_length
     return PartitionedResult(

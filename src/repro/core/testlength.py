@@ -15,6 +15,9 @@ redundancies) and NORMALIZE determines
 NORMALIZE uses the paper's lower/upper bounds ``l(z, M)`` and ``u(z, M)`` so
 the sums never have to run over the full fault list, and an interval search on
 ``M`` (here: exponential growth followed by binary search).
+
+:func:`joint_schedule` is NORMALIZE for several weight sets played back to
+back: the per-set lengths whose *cumulative* exposure meets the confidence.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ import numpy as np
 
 from .objective import objective_from_confidence
 
-__all__ = ["NormalizeResult", "sort_faults", "normalize", "required_test_length"]
+__all__ = [
+    "NormalizeResult",
+    "sort_faults",
+    "normalize",
+    "required_test_length",
+    "joint_schedule",
+]
 
 #: A fault whose objective term is below this fraction of the threshold Q
 #: divided by the fault count is considered numerically irrelevant.
@@ -174,3 +183,85 @@ def required_test_length(
     probs = np.asarray(list(detection_probs), dtype=float)
     positive = np.sort(probs[probs > 0.0])
     return normalize(positive, confidence)
+
+
+def joint_schedule(
+    probs: np.ndarray,
+    confidence: float,
+    start_lengths: Sequence[int],
+) -> List[int]:
+    """Minimum per-set lengths whose *cumulative* exposure meets a confidence.
+
+    The single-set NORMALIZE bounds ``J_N = Σ_f exp(-N p_f) <= Q``.  When a
+    session plays several weight sets in sequence the per-fault exposure is
+    additive in the exponent, so the schedule objective is::
+
+        J(N_1, ..., N_k) = Σ_f exp(-Σ_s N_s p_{f,s}) <= Q
+
+    — every pattern a set plays counts against *every* fault, not only the
+    cluster the set was optimized for.  This is exactly where the multi-set
+    architecture beats the naive per-cluster sum: a set tuned for one
+    cluster's hard faults still sweeps up the easy remainder of the others.
+
+    Starting from a feasible schedule (the per-cluster requirements, doubled
+    until globally feasible), each set is shaved to its minimal integer length
+    by cyclic binary search.  The objective is convex in the schedule, every
+    pass is monotone non-increasing, and the result is deterministic.
+
+    Args:
+        probs: ``(n_sets, n_faults)`` detection probabilities of every fault
+            under each set's weights.
+        confidence: required probability that every fault is detected by the
+            full schedule.
+        start_lengths: per-set warm-start lengths (each cluster's own
+            single-set requirement).
+    """
+    matrix = np.asarray(probs, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a (n_sets, n_faults) matrix, got {matrix.shape}")
+    n_sets = matrix.shape[0]
+    if n_sets != len(start_lengths):
+        raise ValueError(
+            f"expected {n_sets} start lengths, got {len(start_lengths)}"
+        )
+    if n_sets == 0:
+        raise ValueError("cannot schedule zero weight sets")
+    threshold = objective_from_confidence(confidence)
+
+    def objective(lengths: np.ndarray) -> float:
+        with np.errstate(under="ignore"):
+            return float(np.exp(-(lengths @ matrix)).sum())
+
+    lengths = np.array(
+        [min(max(1, int(length)), MAX_TEST_LENGTH) for length in start_lengths],
+        dtype=float,
+    )
+    if matrix.shape[1] == 0:
+        return [1] * n_sets
+    # Per-cluster feasibility does not imply joint feasibility (k clusters at
+    # threshold Q each can sum to k*Q); double until the schedule is feasible.
+    while objective(lengths) > threshold:
+        if lengths.max() >= MAX_TEST_LENGTH:
+            # Some fault is essentially undetectable under every set; report
+            # the capped schedule like NORMALIZE reports a capped length.
+            break
+        lengths = np.minimum(lengths * 2.0, MAX_TEST_LENGTH)
+
+    for _ in range(32):
+        changed = False
+        for s in range(n_sets):
+            low, high = 1, int(lengths[s])
+            while low < high:
+                mid = (low + high) // 2
+                trial = lengths.copy()
+                trial[s] = mid
+                if objective(trial) <= threshold:
+                    high = mid
+                else:
+                    low = mid + 1
+            if high < int(lengths[s]):
+                lengths[s] = high
+                changed = True
+        if not changed:
+            break
+    return [int(length) for length in lengths]

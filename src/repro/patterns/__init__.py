@@ -5,7 +5,11 @@ The scalar classes (:class:`LFSR`, :class:`MISR`,
 implementations; the vectorized block substrate in
 :mod:`repro.patterns.compiled` (:class:`CompiledLFSR`, :class:`CompiledMISR`,
 :class:`CompiledLfsrWeightedPatternGenerator`) is bit-identical to them and
-is what :class:`SelfTestSession` runs on.
+is what the one signature playback engine
+(:class:`repro.patterns.bilbo.SignaturePlayback`, behind
+:class:`SelfTestSession` and the multi-weight-set session) runs on.  Long
+tests stream through the signature register in chunks, so no session holds
+its whole pattern matrix.
 """
 
 from .lfsr import LFSR, PRIMITIVE_TAPS, max_sequence_length

@@ -1,4 +1,4 @@
-"""BILBO-style self test session.
+"""BILBO-style self test: one signature playback engine.
 
 Section 5.2 of the paper: "Self test by random patterns is the main goal of the
 optimizing approach.  A self test modul similar to the well known BILBO is
@@ -6,20 +6,20 @@ presented in [Wu86] and [Wu87]."  A BILBO (built-in logic block observer) is a
 register that can act as a pattern generator (LFSR / weighted generator) on the
 circuit inputs and as a signature analyser (MISR) on the circuit outputs.
 
-:class:`SelfTestSession` models a complete self-test run: generate ``N``
-(optionally weighted) random patterns, apply them to the circuit, compact the
-responses into a signature and compare against the fault-free golden
-signature.  The session runs on the compiled substrate: patterns come from
-the block LFSR / weighting network
-(:class:`repro.patterns.compiled.CompiledLfsrWeightedPatternGenerator`) when
-``use_lfsr=True`` (hardware-realistic) or from the software PRNG generator
-otherwise, responses from the shared word-domain engine
-(:mod:`repro.simulation.compiled`) — including *faulty* responses, which are
-produced by one fault-parallel injection pass instead of a per-pattern
-interpreted loop — and signatures from the vectorized
-:class:`repro.patterns.compiled.CompiledMISR`.  The pattern matrix, the
-fault-free net values and the golden signature are computed once per session
-and reused by every :meth:`SelfTestSession.run` call.
+:class:`SignaturePlayback` is the one engine that plays patterns through a
+signature register: pattern *segments*, each from its own generator, are
+applied in sequence and one register compacts every response into the
+signature compared against the fault-free golden one.  Responses (faulty ones
+from one fault-parallel injection pass) come from the word-domain engine of
+:mod:`repro.simulation.compiled`, signatures from the vectorized
+:class:`repro.patterns.compiled.CompiledMISR`.  A segment longer than
+:data:`_SIGNATURE_CHUNK` patterns streams through in chunks, so memory stays
+bounded for any test length; a shorter one keeps its fault-free net values.
+
+:class:`SelfTestSession` is the one-segment case, with patterns from the
+block LFSR / weighting network when ``use_lfsr=True`` (hardware-realistic) or
+from the software PRNG otherwise; :class:`repro.wrp.session.MultiSetSelfTestSession`
+plays one segment per weight set.
 
 :func:`self_test_detects_fault` re-runs the session with a fault injected,
 which is how the BIST examples demonstrate end-to-end detection.
@@ -28,7 +28,7 @@ which is how the BIST examples demonstrate end-to-end detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,10 +38,15 @@ from ..faultsim.parallel import ParallelFaultSimulator
 from ..simulation.compiled import CompiledCircuit, compile_circuit
 from ..simulation.logicsim import pack_patterns, unpack_values
 from .compiled import CompiledLfsrWeightedPatternGenerator, CompiledMISR
-from .misr import MISR, default_misr_width
-from .weighted import WeightedPatternGenerator
+from .misr import MISR, resolve_misr
+from .weighted import WeightedPatternGenerator, validate_weights
 
-__all__ = ["SelfTestSession", "SelfTestReport", "self_test_detects_fault"]
+__all__ = ["SignaturePlayback", "SelfTestSession", "SelfTestReport", "self_test_detects_fault"]
+
+#: Patterns per signature chunk.  A longer segment (a self test of 10**6
+#: patterns, a weakly optimized weight set of ~2e7) streams through the
+#: register in chunks; a segment within one chunk keeps its good values.
+_SIGNATURE_CHUNK = 65536
 
 
 @dataclass
@@ -90,7 +95,86 @@ class SelfTestReport:
         )
 
 
-class SelfTestSession:
+class SignaturePlayback:
+    """Play pattern segments in sequence through one signature register.
+
+    Segment ``i`` is ``segment_lengths[i]`` patterns from a fresh
+    :meth:`_make_generator` ``(i)``; subclasses say where the patterns come
+    from.  One register spans every segment, so a signature equals
+    compacting the concatenation of all segments' responses.
+
+    Args:
+        circuit: circuit under test.
+        segment_lengths: patterns per segment, in playback order.
+        misr_width / misr_taps: signature register, resolved and checked
+            against the output count by :func:`repro.patterns.misr.resolve_misr`.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        segment_lengths: Sequence[int],
+        misr_width: Optional[int] = None,
+        misr_taps: Optional[Sequence[int]] = None,
+    ):
+        self.circuit = circuit
+        self.segment_lengths = tuple(int(n) for n in segment_lengths)
+        self.misr_width, self.misr_taps = resolve_misr(circuit.n_outputs, misr_width, misr_taps)
+        self._engine: CompiledCircuit = compile_circuit(circuit)
+        self._good_values: Dict[int, np.ndarray] = {}
+        self._golden: Optional[int] = None
+
+    @property
+    def n_patterns(self) -> int:
+        """Total patterns over every segment."""
+        return int(sum(self.segment_lengths))
+
+    def _make_generator(self, index: int):
+        """A fresh pattern generator for segment ``index``."""
+        raise NotImplementedError
+
+    def _fresh_misr(self) -> Union[CompiledMISR, MISR]:
+        """A zero-seeded signature register (vectorized when width <= 64)."""
+        if self.misr_width <= 64:
+            return CompiledMISR(self.misr_width, taps=self.misr_taps)
+        return MISR(self.misr_width, taps=self.misr_taps)
+
+    def _good_chunks(self, index: int) -> Iterator[Tuple[np.ndarray, int]]:
+        """Fault-free net values of one segment, as ``(values, n_patterns)`` chunks."""
+        n_patterns = self.segment_lengths[index]
+        if n_patterns > _SIGNATURE_CHUNK:
+            generator = self._make_generator(index)
+            for matrix in generator.generate_stream(n_patterns, _SIGNATURE_CHUNK):
+                yield self._engine.simulate_words(pack_patterns(matrix)), matrix.shape[0]
+            return
+        good = self._good_values.get(index)
+        if good is None:
+            matrix = self._make_generator(index).generate(n_patterns)
+            good = self._engine.simulate_words(pack_patterns(matrix))
+            self._good_values[index] = good
+        yield good, n_patterns
+
+    def _signature(self, fault: Optional[Fault]) -> int:
+        # compact continues the register state across chunks and segments.
+        misr = self._fresh_misr()
+        signature = 0
+        for index in range(len(self.segment_lengths)):
+            for good, n_patterns in self._good_chunks(index):
+                if fault is None:
+                    words = good[self._engine.outputs]
+                else:
+                    words = self._engine.fault_output_words([fault], good, good.shape[1])[:, 0, :]
+                signature = misr.compact(unpack_values(words, n_patterns))
+        return int(signature)
+
+    def golden_signature(self) -> int:
+        """Signature of the fault-free circuit (computed once, then cached)."""
+        if self._golden is None:
+            self._golden = self._signature(None)
+        return self._golden
+
+
+class SelfTestSession(SignaturePlayback):
     """A weighted-random BIST session for a combinational circuit.
 
     Args:
@@ -119,86 +203,36 @@ class SelfTestSession:
         misr_taps: Optional[Sequence[int]] = None,
         seed: int = 1987,
     ):
-        self.circuit = circuit
-        self.n_patterns = n_patterns
-        self.weights = (
-            list(weights) if weights is not None else [0.5] * circuit.n_inputs
-        )
-        if len(self.weights) != circuit.n_inputs:
+        self.weights = list(weights) if weights is not None else [0.5] * circuit.n_inputs
+        if validate_weights(self.weights).size != circuit.n_inputs:
             raise ValueError("one weight per primary input is required")
-        if use_lfsr:
-            self._generator = CompiledLfsrWeightedPatternGenerator(
-                self.weights, seed=seed
-            )
-        else:
-            self._generator = WeightedPatternGenerator(self.weights, seed=seed)
-        if misr_width is None:
-            misr_width = default_misr_width(circuit.n_outputs)
-        self.misr_width = misr_width
-        self.misr_taps = tuple(misr_taps) if misr_taps is not None else None
-        self._engine: CompiledCircuit = compile_circuit(circuit)
-        self._patterns: Optional[np.ndarray] = None
-        self._good_values: Optional[np.ndarray] = None
-        self._golden: Optional[int] = None
+        self.use_lfsr = use_lfsr
+        self.seed = seed
+        super().__init__(circuit, (n_patterns,), misr_width, misr_taps)
 
-    # ------------------------------------------------------------------ #
-    def _fresh_misr(self) -> Union[CompiledMISR, MISR]:
-        """A zero-seeded signature register (vectorized when width <= 64)."""
-        if self.misr_width <= 64:
-            return CompiledMISR(self.misr_width, taps=self.misr_taps)
-        return MISR(self.misr_width, taps=self.misr_taps)
+    def _make_generator(self, index: int = 0):
+        if self.use_lfsr:
+            return CompiledLfsrWeightedPatternGenerator(self.weights, seed=self.seed)
+        return WeightedPatternGenerator(self.weights, seed=self.seed)
 
     def patterns(self) -> np.ndarray:
-        """The (cached) pattern matrix applied by this session."""
-        if self._patterns is None:
-            self._patterns = self._generator.generate(self.n_patterns)
-        return self._patterns
-
-    def _good_net_values(self) -> np.ndarray:
-        """Fault-free word-domain values of every net (cached)."""
-        if self._good_values is None:
-            self._good_values = self._engine.simulate_words(
-                pack_patterns(self.patterns())
-            )
-        return self._good_values
-
-    def _fault_free_responses(self) -> np.ndarray:
-        """Fault-free output responses ``(n_patterns, n_outputs)``."""
-        good = self._good_net_values()
-        return unpack_values(good[self._engine.outputs], self.n_patterns)
-
-    def golden_signature(self) -> int:
-        """Signature of the fault-free circuit (computed once, then cached)."""
-        if self._golden is None:
-            self._golden = self._fresh_misr().compact(self._fault_free_responses())
-        return self._golden
+        """The pattern matrix this session applies (generated on each call)."""
+        return self._make_generator().generate(self.n_patterns)
 
     def run(self, fault: Optional[Fault] = None) -> SelfTestReport:
         """Execute the self test, optionally with a fault injected.
 
-        Repeated calls reuse the cached pattern matrix, fault-free net values
-        and golden signature — only the faulty response pass depends on the
-        injected fault.
+        Repeated calls reuse the golden signature and, for tests of at most
+        one chunk, the fault-free net values — only the faulty pass depends
+        on the injected fault.
         """
         golden = self.golden_signature()
-        if fault is None:
-            signature = golden
-        else:
-            responses = self._faulty_responses(fault)
-            signature = self._fresh_misr().compact(responses)
         return SelfTestReport(
             circuit_name=self.circuit.name,
             n_patterns=self.n_patterns,
-            signature=signature,
+            signature=golden if fault is None else self._signature(fault),
             golden_signature=golden,
         )
-
-    def _faulty_responses(self, fault: Fault) -> np.ndarray:
-        """Output responses with ``fault`` injected (one compiled pass)."""
-        good = self._good_net_values()
-        n_words = good.shape[1]
-        out_words = self._engine.fault_output_words([fault], good, n_words)[:, 0, :]
-        return unpack_values(out_words, self.n_patterns)
 
 
 def self_test_detects_fault(

@@ -9,13 +9,13 @@ for a given pattern stream.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .lfsr import PRIMITIVE_TAPS
 
-__all__ = ["MISR", "default_misr_width", "golden_signature", "resolve_misr_taps"]
+__all__ = ["MISR", "default_misr_width", "golden_signature", "resolve_misr", "resolve_misr_taps"]
 
 #: Largest register width with a tabulated primitive polynomial.
 MAX_TABULATED_WIDTH = max(PRIMITIVE_TAPS)
@@ -61,6 +61,28 @@ def default_misr_width(n_outputs: int) -> int:
         "(with the taps of a primitive polynomial of that width) to compact "
         "wider responses"
     )
+
+
+def resolve_misr(
+    n_outputs: int,
+    width: Optional[int] = None,
+    taps: Optional[Sequence[int]] = None,
+) -> Tuple[int, tuple]:
+    """The ``(width, taps)`` of a register that compacts ``n_outputs`` outputs.
+
+    ``width=None`` picks :func:`default_misr_width`; the taps are resolved by
+    :func:`resolve_misr_taps`.  Raises a :class:`ValueError` up front when
+    the register cannot compact ``n_outputs`` parallel outputs, so a self
+    test fails before any pattern is simulated.
+    """
+    if width is None:
+        width = default_misr_width(n_outputs)
+    taps = resolve_misr_taps(width, taps)
+    if n_outputs > width:
+        raise ValueError(
+            f"MISR of width {width} cannot compact {n_outputs} parallel outputs"
+        )
+    return width, taps
 
 
 class MISR:
@@ -149,8 +171,7 @@ def golden_signature(
     from ..simulation.logicsim import LogicSimulator
     from .compiled import CompiledMISR
 
-    if width is None:
-        width = default_misr_width(circuit.n_outputs)
+    width, taps = resolve_misr(circuit.n_outputs, width, taps)
     responses = LogicSimulator(circuit).simulate_patterns(patterns)
     if width <= 64:
         return CompiledMISR(width, taps=taps, seed=seed).compact(responses)

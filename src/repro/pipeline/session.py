@@ -456,13 +456,6 @@ class Session:
             if spec.analysis.estimator == "scalar"
             else BatchedCopEstimator()
         )
-        # No fault-sim stage declared: simulation legs run elsewhere (e.g.
-        # the multi-weight coverage run) take the analysis-stage setting.
-        partition_size = (
-            spec.fault_sim.partition_size
-            if spec.fault_sim is not None
-            else spec.analysis.partition_size
-        )
         return cls(
             confidence=spec.analysis.confidence,
             estimator=estimator,
@@ -472,7 +465,7 @@ class Session:
             seed=spec.seed,
             quantization_step=quantize.step,
             drop_redundant=spec.analysis.drop_redundant,
-            partition_size=partition_size,
+            partition_size=spec.partition_size,
         )
 
     def _estimator_name(self, strict: bool = True) -> str:
@@ -786,11 +779,12 @@ class Session:
 
         The session runs on the compiled BIST substrate
         (:mod:`repro.patterns.compiled`) and on the same lowered IR as every
-        other stage; its pattern matrix, fault-free responses and golden
-        signature are computed once and shared by every
-        :meth:`~repro.patterns.bilbo.SelfTestSession.run` on it — keep the
-        returned session to inject many faults.  ``seed=None`` uses the
-        derived ``derive_seed(root, "self_test", key)`` stage seed.
+        other stage; its golden signature is computed once and shared by
+        every :meth:`~repro.patterns.bilbo.SelfTestSession.run` on it (and
+        so are its fault-free net values, for tests of up to 65,536
+        patterns; longer ones stream in chunks) — keep the returned session
+        to inject many faults.  ``seed=None`` uses the derived
+        ``derive_seed(root, "self_test", key)`` stage seed.
         """
         entry = self._entry(key)
         self.lowered(key)

@@ -19,6 +19,7 @@ Wired into the job-spec API as the ``multi_weight`` stage
 the CLI via ``--multi-weight`` / ``--scan-chains``.
 """
 
+from ..core.testlength import joint_schedule
 from .clustering import cluster_faults, detection_profiles
 from .multiset import (
     SET_POLYNOMIAL_WIDTHS,
@@ -26,7 +27,6 @@ from .multiset import (
     WeightSetEntry,
     allocate_budget,
     build_weight_sets,
-    joint_schedule,
 )
 from .scan import StumpsPatternGenerator
 from .session import (

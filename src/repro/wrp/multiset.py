@@ -27,9 +27,8 @@ import numpy as np
 from ..analysis.compiled import BatchedCopEstimator
 from ..analysis.detection import batch_detection_probabilities
 from ..circuit.netlist import Circuit
-from ..core.objective import objective_from_confidence
 from ..core.optimizer import OptimizationResult, WeightOptimizer
-from ..core.testlength import MAX_TEST_LENGTH
+from ..core.testlength import joint_schedule
 from ..faults.collapse import collapsed_fault_list
 from ..faults.model import Fault
 from ..patterns.lfsr import PRIMITIVE_TAPS
@@ -41,7 +40,6 @@ __all__ = [
     "MultiWeightSet",
     "build_weight_sets",
     "allocate_budget",
-    "joint_schedule",
 ]
 
 #: LFSR widths cycled through by successive weight sets — each width selects a
@@ -109,88 +107,6 @@ def allocate_budget(lengths: Sequence[int], budget: int) -> List[int]:
     return floors
 
 
-def joint_schedule(
-    probs: np.ndarray,
-    confidence: float,
-    start_lengths: Sequence[int],
-) -> List[int]:
-    """Minimum per-set lengths whose *cumulative* exposure meets a confidence.
-
-    The single-set NORMALIZE bounds ``J_N = Σ_f exp(-N p_f) <= Q``.  When a
-    session plays several weight sets in sequence the per-fault exposure is
-    additive in the exponent, so the schedule objective is::
-
-        J(N_1, ..., N_k) = Σ_f exp(-Σ_s N_s p_{f,s}) <= Q
-
-    — every pattern a set plays counts against *every* fault, not only the
-    cluster the set was optimized for.  This is exactly where the multi-set
-    architecture beats the naive per-cluster sum: a set tuned for one
-    cluster's hard faults still sweeps up the easy remainder of the others.
-
-    Starting from a feasible schedule (the per-cluster requirements, doubled
-    until globally feasible), each set is shaved to its minimal integer length
-    by cyclic binary search.  The objective is convex in the schedule, every
-    pass is monotone non-increasing, and the result is deterministic.
-
-    Args:
-        probs: ``(n_sets, n_faults)`` detection probabilities of every fault
-            under each set's weights.
-        confidence: required probability that every fault is detected by the
-            full schedule.
-        start_lengths: per-set warm-start lengths (each cluster's own
-            single-set requirement).
-    """
-    matrix = np.asarray(probs, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a (n_sets, n_faults) matrix, got {matrix.shape}")
-    n_sets = matrix.shape[0]
-    if n_sets != len(start_lengths):
-        raise ValueError(
-            f"expected {n_sets} start lengths, got {len(start_lengths)}"
-        )
-    if n_sets == 0:
-        raise ValueError("cannot schedule zero weight sets")
-    threshold = objective_from_confidence(confidence)
-
-    def objective(lengths: np.ndarray) -> float:
-        with np.errstate(under="ignore"):
-            return float(np.exp(-(lengths @ matrix)).sum())
-
-    lengths = np.array(
-        [min(max(1, int(length)), MAX_TEST_LENGTH) for length in start_lengths],
-        dtype=float,
-    )
-    if matrix.shape[1] == 0:
-        return [1] * n_sets
-    # Per-cluster feasibility does not imply joint feasibility (k clusters at
-    # threshold Q each can sum to k*Q); double until the schedule is feasible.
-    while objective(lengths) > threshold:
-        if lengths.max() >= MAX_TEST_LENGTH:
-            # Some fault is essentially undetectable under every set; report
-            # the capped schedule like NORMALIZE reports a capped length.
-            break
-        lengths = np.minimum(lengths * 2.0, MAX_TEST_LENGTH)
-
-    for _ in range(32):
-        changed = False
-        for s in range(n_sets):
-            low, high = 1, int(lengths[s])
-            while low < high:
-                mid = (low + high) // 2
-                trial = lengths.copy()
-                trial[s] = mid
-                if objective(trial) <= threshold:
-                    high = mid
-                else:
-                    low = mid + 1
-            if high < int(lengths[s]):
-                lengths[s] = high
-                changed = True
-        if not changed:
-            break
-    return [int(length) for length in lengths]
-
-
 # --------------------------------------------------------------------------- #
 # Artifacts
 # --------------------------------------------------------------------------- #
@@ -208,7 +124,7 @@ class WeightSetEntry:
         test_length: this set's share of the jointly normalized schedule —
             the patterns it must play so the *cumulative* exposure of all
             sets detects every fault at the optimizer's confidence (see
-            :func:`joint_schedule`).
+            :func:`repro.core.testlength.joint_schedule`).
         n_patterns: the session budget of this set (how long it plays).
         lfsr_width / lfsr_taps / lfsr_seed: the set's pattern-source LFSR —
             per-set polynomial and seed (leap-ahead tables are shared

@@ -1,13 +1,14 @@
 """Multi-weight-set self-test session: sequenced playback and scheduling.
 
-:class:`MultiSetSelfTestSession` is the architecture-level counterpart of the
-single-set :class:`repro.patterns.bilbo.SelfTestSession`: it plays a
-:class:`~repro.wrp.multiset.MultiWeightSet`'s weight sets *in sequence*
-through the compiled LFSR/weighting/MISR kernels.  Each set owns its pattern
-budget, its LFSR polynomial and its reseed; one signature register compacts
-the responses of the whole schedule, so the final signature is exactly what
-the hardware would hold after the last set — and for ``k = 1`` with the
-default set-0 polynomial it is bit-identical to the single-set session.
+:class:`MultiSetSelfTestSession` plays a
+:class:`~repro.wrp.multiset.MultiWeightSet`'s weight sets *in sequence* on
+the one signature engine, :class:`repro.patterns.bilbo.SignaturePlayback`:
+each set is one segment with its own pattern budget, LFSR polynomial and
+reseed, and one signature register compacts the responses of the whole
+schedule, so the final signature is exactly what the hardware would hold
+after the last set — and for ``k = 1`` with the default set-0 polynomial it
+is bit-identical to the single-set
+:class:`repro.patterns.bilbo.SelfTestSession`, its one-segment case.
 
 Two playback modes:
 
@@ -29,17 +30,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..faultsim.parallel import FaultSimResult, ParallelFaultSimulator
-from ..patterns.compiled import CompiledLfsrWeightedPatternGenerator, CompiledMISR
-from ..patterns.misr import MISR, default_misr_width
-from ..simulation.compiled import CompiledCircuit, compile_circuit
-from ..simulation.logicsim import pack_patterns, unpack_values
+from ..patterns.bilbo import SignaturePlayback
+from ..patterns.compiled import CompiledLfsrWeightedPatternGenerator
 from .multiset import MultiWeightSet, WeightSetEntry
 from .scan import StumpsPatternGenerator
 
@@ -50,12 +49,6 @@ __all__ = [
     "MultiWeightReport",
     "run_multi_weight_session",
 ]
-
-#: Patterns per signature chunk.  A set scheduled for more patterns is
-#: streamed through the signature register in chunks of this length (under
-#: weakly optimized weights a set can be scheduled for ~2e7 patterns); a set
-#: that fits in one chunk keeps its fault-free net values cached.
-_SIGNATURE_CHUNK = 65536
 
 
 @dataclass
@@ -174,7 +167,7 @@ class MultiSetCoverage:
         )
 
 
-class MultiSetSelfTestSession:
+class MultiSetSelfTestSession(SignaturePlayback):
     """Play a multi-weight-set schedule through the compiled BIST substrate.
 
     Args:
@@ -196,7 +189,6 @@ class MultiSetSelfTestSession:
         misr_width: Optional[int] = None,
         misr_taps: Optional[Sequence[int]] = None,
     ):
-        self.circuit = circuit
         if isinstance(weight_sets, MultiWeightSet):
             if weight_sets.n_inputs != circuit.n_inputs:
                 raise ValueError(
@@ -218,26 +210,17 @@ class MultiSetSelfTestSession:
             raise ValueError(f"scan_chains must be positive, got {scan_chains!r}")
         self.entries = entries
         self.scan_chains = scan_chains
-        if misr_width is None:
-            misr_width = default_misr_width(circuit.n_outputs)
-        self.misr_width = misr_width
-        self.misr_taps = tuple(misr_taps) if misr_taps is not None else None
-        self._engine: CompiledCircuit = compile_circuit(circuit)
-        self._patterns: Optional[List[np.ndarray]] = None
-        self._good_values: Dict[int, np.ndarray] = {}
-        self._golden: Optional[int] = None
+        super().__init__(
+            circuit, [entry.n_patterns for entry in entries], misr_width, misr_taps
+        )
 
     # ------------------------------------------------------------------ #
     @property
     def n_sets(self) -> int:
         return len(self.entries)
 
-    @property
-    def n_patterns(self) -> int:
-        """Total scheduled patterns across all sets."""
-        return int(sum(entry.n_patterns for entry in self.entries))
-
-    def _make_generator(self, entry: WeightSetEntry):
+    def _make_generator(self, index: int):
+        entry = self.entries[index]
         if self.scan_chains is not None:
             return StumpsPatternGenerator(
                 entry.quantized_weights,
@@ -253,68 +236,22 @@ class MultiSetSelfTestSession:
             seed=entry.lfsr_seed,
         )
 
-    def _fresh_misr(self) -> Union[CompiledMISR, MISR]:
-        if self.misr_width <= 64:
-            return CompiledMISR(self.misr_width, taps=self.misr_taps)
-        return MISR(self.misr_width, taps=self.misr_taps)
-
     def patterns(self) -> List[np.ndarray]:
-        """The (cached) per-set pattern matrices of the schedule."""
-        if self._patterns is None:
-            self._patterns = [
-                self._make_generator(entry).generate(entry.n_patterns)
-                for entry in self.entries
-            ]
-        return self._patterns
-
-    def _good_chunks(self, set_index: int) -> Iterator[Tuple[np.ndarray, int]]:
-        """Fault-free net values of one set, as ``(values, n_patterns)`` chunks."""
-        entry = self.entries[set_index]
-        if entry.n_patterns > _SIGNATURE_CHUNK:
-            generator = self._make_generator(entry)
-            for matrix in generator.generate_stream(entry.n_patterns, _SIGNATURE_CHUNK):
-                yield self._engine.simulate_words(pack_patterns(matrix)), matrix.shape[0]
-            return
-        good = self._good_values.get(set_index)
-        if good is None:
-            matrix = self._make_generator(entry).generate(entry.n_patterns)
-            good = self._engine.simulate_words(pack_patterns(matrix))
-            self._good_values[set_index] = good
-        yield good, entry.n_patterns
-
-    def _signature(self, fault: Optional[Fault]) -> int:
-        # One register spans the whole schedule: compact continues the state
-        # across chunks and sets, so the result equals compacting the
-        # concatenation of every set's responses.
-        misr = self._fresh_misr()
-        signature = 0
-        for set_index in range(self.n_sets):
-            for good, n_patterns in self._good_chunks(set_index):
-                if fault is None:
-                    out_words = good[self._engine.outputs]
-                else:
-                    out_words = self._engine.fault_output_words(
-                        [fault], good, good.shape[1]
-                    )[:, 0, :]
-                signature = misr.compact(unpack_values(out_words, n_patterns))
-        return int(signature)
-
-    def golden_signature(self) -> int:
-        """Signature of the fault-free circuit over the whole schedule."""
-        if self._golden is None:
-            self._golden = self._signature(None)
-        return self._golden
+        """The per-set pattern matrices of the schedule (generated on each call)."""
+        return [
+            self._make_generator(index).generate(n_patterns)
+            for index, n_patterns in enumerate(self.segment_lengths)
+        ]
 
     def run(self, fault: Optional[Fault] = None) -> MultiSetSelfTestReport:
         """Execute the schedule, optionally with a fault injected."""
         golden = self.golden_signature()
-        signature = golden if fault is None else self._signature(fault)
         return MultiSetSelfTestReport(
             circuit_name=self.circuit.name,
             n_sets=self.n_sets,
-            per_set_patterns=tuple(int(e.n_patterns) for e in self.entries),
+            per_set_patterns=self.segment_lengths,
             n_patterns=self.n_patterns,
-            signature=signature,
+            signature=golden if fault is None else self._signature(fault),
             golden_signature=golden,
             scan_chains=self.scan_chains,
         )
@@ -343,9 +280,9 @@ class MultiSetSelfTestSession:
         applied = [0] * self.n_sets
 
         def chained_chunks():
-            for set_index, entry in enumerate(self.entries):
-                generator = self._make_generator(entry)
-                for matrix in generator.generate_stream(entry.n_patterns, chunk):
+            for set_index, n_patterns in enumerate(self.segment_lengths):
+                generator = self._make_generator(set_index)
+                for matrix in generator.generate_stream(n_patterns, chunk):
                     applied[set_index] += matrix.shape[0]
                     yield matrix
 

@@ -110,3 +110,28 @@ class TestRequiredTestLength:
         needs on the order of 10^8 patterns — the magnitude of Table 1."""
         result = required_test_length([2.0**-24], 0.999)
         assert 10**7 < result.test_length < 10**9
+
+
+class TestJointSchedule:
+    def test_partitioned_sessions_meet_confidence_jointly(self):
+        from repro.analysis.compiled import BatchedCopEstimator
+        from repro.bench.areas.ablations import conflicting_detectors_circuit
+        from repro.core import optimize_partitioned
+        from repro.faults import collapsed_fault_list
+
+        circuit = conflicting_detectors_circuit(10)
+        faults = collapsed_fault_list(circuit)
+        partitioned = optimize_partitioned(circuit, faults=faults, max_sessions=2, max_sweeps=6)
+        assert partitioned.n_sessions == 2
+        estimator = BatchedCopEstimator()
+        probs = np.vstack(
+            [
+                estimator.detection_probabilities(circuit, faults, session.weights)
+                for session in partitioned.sessions
+            ]
+        )
+        lengths = np.array([session.test_length for session in partitioned.sessions])
+        exposure = (lengths @ probs)[probs.max(axis=0) > 0.0]
+        # The sessions played back to back reach the confidence as a whole.
+        assert np.exp(-exposure).sum() <= objective_from_confidence(0.999)
+        assert partitioned.total_test_length == int(lengths.sum())

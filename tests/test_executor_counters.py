@@ -133,3 +133,39 @@ def test_run_without_store(cold):
     assert store_delta is None
     assert calls == ALL_STAGES
     assert report.canonical_dict() == cold[3].canonical_dict()
+
+
+def test_narrow_register_fails_before_any_stage():
+    spec = PipelineSpec(
+        circuit="c432",
+        optimize=OptimizeConfig(max_sweeps=2),
+        fault_sim=FaultSimConfig(n_patterns=512),
+        self_test=SelfTestConfig(n_patterns=256, misr_width=4),
+    )
+    store = MemoryStore()
+    calls = []
+    with pytest.raises(ValueError, match="MISR of width 4 cannot compact"):
+        execute_spec(spec, store=store, on_stage=calls.append)
+    assert calls == []
+    assert store.stats()["puts"] == 0
+
+
+def test_multi_weight_report_is_keyed_by_partition_size():
+    def spec(partition_size):
+        return PipelineSpec(
+            circuit="c432",
+            optimize=OptimizeConfig(max_sweeps=2),
+            fault_sim=FaultSimConfig(n_patterns=256, partition_size=partition_size),
+            multi_weight=MultiWeightConfig(k=2),
+        )
+
+    plans = [build_plan(spec(size)).stage("multi_weight") for size in (None, 32)]
+    assert plans[0].store_keys["weight_sets"] == plans[1].store_keys["weight_sets"]
+    assert plans[0].store_keys["result"] != plans[1].store_keys["result"]
+
+    store = MemoryStore()
+    execute_spec(spec(None), store=store)
+    warm = execute_spec(spec(32), store=store)
+    cold = execute_spec(spec(32))
+    assert warm.multi_weight.coverage.result.stats.partition_size == 32
+    assert warm.canonical_dict() == cold.canonical_dict()

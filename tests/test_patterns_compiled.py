@@ -289,17 +289,22 @@ class TestSelfTestSessionCompiled:
         from repro.faultsim.serial import simulate_with_fault
 
         circuit = comparator_circuit(width=4)
-        session = SelfTestSession(circuit, n_patterns=80, seed=5)
+        # A 16-bit register so that faulty signatures rarely alias the golden.
+        session = SelfTestSession(circuit, n_patterns=80, seed=5, misr_width=16)
         patterns = session.patterns()
+        golden = session.golden_signature()
+        signatures = []
         for fault in collapsed_fault_list(circuit)[::9]:
-            compiled = session._faulty_responses(fault)
             reference = np.zeros((patterns.shape[0], circuit.n_outputs), dtype=bool)
             for row, pattern in enumerate(patterns):
                 values = simulate_with_fault(
                     circuit, fault, [bool(v) for v in pattern]
                 )
                 reference[row] = [values[out] for out in circuit.outputs]
-            assert np.array_equal(compiled, reference), fault.describe(circuit)
+            expected = MISR(16).compact(reference)
+            signatures.append(session.run(fault).signature)
+            assert signatures[-1] == expected, fault.describe(circuit)
+        assert any(signature != golden for signature in signatures)
 
     def test_run_never_calls_per_pattern_fault_simulation(self, monkeypatch):
         import repro.faultsim.serial as serial
@@ -338,15 +343,54 @@ class TestSelfTestSessionCompiled:
         # One fault-free simulation serves every run of the session.
         assert calls["count"] == 1
 
-    def test_lfsr_session_uses_compiled_generator(self):
+    def test_lfsr_session_uses_compiled_generator(self, monkeypatch):
         circuit = half_adder_circuit()
         session = SelfTestSession(
             circuit, 64, weights=[0.75, 0.25], use_lfsr=True, seed=3
         )
-        scalar = LfsrWeightedPatternGenerator([0.75, 0.25], seed=3)
-        assert isinstance(session._generator, CompiledLfsrWeightedPatternGenerator)
-        assert np.array_equal(session.patterns(), scalar.generate(64))
+        expected = LfsrWeightedPatternGenerator([0.75, 0.25], seed=3).generate(64)
+
+        def forbidden(self, n_bits):  # pragma: no cover - fails the test
+            raise AssertionError("the session must not step the scalar LFSR")
+
+        monkeypatch.setattr(LfsrWeightedPatternGenerator, "_bit_stream", forbidden)
+        assert np.array_equal(session.patterns(), expected)
         assert session.run().passed
+
+    @pytest.mark.parametrize("use_lfsr", [False, True])
+    def test_long_session_streams_in_chunks(self, monkeypatch, use_lfsr):
+        from repro.patterns import bilbo
+        from repro.simulation.compiled import CompiledCircuit
+
+        circuit = comparator_circuit(width=4)
+        faults = collapsed_fault_list(circuit)[::7]
+        weights = np.linspace(0.2, 0.8, circuit.n_inputs)
+
+        def session():
+            return SelfTestSession(
+                circuit, 300, weights=weights, use_lfsr=use_lfsr, misr_width=16, seed=5
+            )
+
+        whole = session()
+        golden = whole.golden_signature()
+        faulty = [whole.run(fault).signature for fault in faults]
+        assert any(signature != golden for signature in faulty)
+        assert golden == golden_signature(circuit, whole.patterns(), width=16)
+
+        words = []
+        original = CompiledCircuit.simulate_words
+
+        def recording(self, input_words):
+            words.append(input_words.shape[1])
+            return original(self, input_words)
+
+        monkeypatch.setattr(CompiledCircuit, "simulate_words", recording)
+        monkeypatch.setattr(bilbo, "_SIGNATURE_CHUNK", 64)
+        chunked = session()
+        assert chunked.golden_signature() == golden
+        assert [chunked.run(fault).signature for fault in faults] == faulty
+        # 300 patterns in 64-pattern chunks: never more than one word at once.
+        assert words and max(words) == 1
 
     def test_injected_fault_detected_on_divider_class_circuit(self):
         circuit = _SUITE["s2"]

@@ -25,7 +25,7 @@ from repro.api import (
 )
 from repro.circuit.bench import parse_bench
 from repro.faults import collapsed_fault_list
-from repro.patterns import LfsrWeightedPatternGenerator, golden_signature
+from repro.patterns import LfsrWeightedPatternGenerator, bilbo, golden_signature
 from repro.patterns.bilbo import SelfTestSession
 from repro.pipeline import Session
 from repro.wrp import (
@@ -38,7 +38,6 @@ from repro.wrp import (
     joint_schedule,
     run_multi_weight_session,
 )
-from repro.wrp import session as wrp_session
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +218,7 @@ class TestSignatureChunking:
         assert any(signature != golden for signature in faulty)
         assert golden == golden_signature(c17, np.vstack(whole.patterns()), width=16)
 
-        monkeypatch.setattr(wrp_session, "_SIGNATURE_CHUNK", chunk)
+        monkeypatch.setattr(bilbo, "_SIGNATURE_CHUNK", chunk)
         assert max(entry.n_patterns for entry in c17_sets.sets) > chunk
         chunked = MultiSetSelfTestSession(c17, c17_sets, misr_width=16)
         assert chunked.golden_signature() == golden
